@@ -61,6 +61,8 @@ class CouplingMatrix:
         v = np.asarray(self.v, dtype=float)
         if v.shape != (self.n, self.n):
             raise ValueError(f"coupling matrix must be {self.n}x{self.n}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("coupling matrix entries must be finite")
         if np.max(np.abs(v - v.T)) > 1e-12:
             raise ValueError("coupling matrix must be symmetric")
         if np.max(np.abs(np.diag(v))) > 1e-12:
@@ -174,12 +176,14 @@ def exact_evolution(m: BCSModel, t: float) -> np.ndarray:
     return (vecs * np.exp(-1j * w * t)) @ vecs.conj().T
 
 
-def trotter_error(m: BCSModel, t: float, steps: int, order: int = 2) -> float:
+def trotter_error(m: BCSModel, t: float, steps: int, order: int = 2, *,
+                  exact: np.ndarray | None = None) -> float:
     """Spectral-norm distance between the compiled product formula and exp(-iHt).
 
     The compiled step comes from the sequence builders and is reconstructed
     with effective_unitary, so this measures the full pipeline, not just the
-    abstract splitting.
+    abstract splitting.  A caller comparing several step counts at one t may
+    pass exact = exact_evolution(m, t) to skip recomputing it.
     """
     if m.n_modes > 8:
         raise ValueError("trotter_error limited to 8 qubits")
@@ -191,7 +195,9 @@ def trotter_error(m: BCSModel, t: float, steps: int, order: int = 2) -> float:
     seq = build_trotter_step(m, t / steps, order=order)
     u_step = effective_unitary(seq, m.n_modes)
     u = np.linalg.matrix_power(u_step, steps)
-    return float(np.linalg.norm(u - exact_evolution(m, t), 2))
+    if exact is None:
+        exact = exact_evolution(m, t)
+    return float(np.linalg.norm(u - exact, 2))
 
 
 # ---------------------------------------------------------------------------

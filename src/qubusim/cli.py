@@ -23,7 +23,8 @@ from .builders import (
     Stepwise,
     build_uzz,
 )
-from .pea import PEAConfig, UnresolvedPeaksError, estimate_gap, result_to_json, run_pea, substeps_for_target
+from .pea import (PEAConfig, UnresolvedPeaksError, estimate_gap, resolve_tau, result_to_json,
+                  run_pea, substeps_for_target)
 from .resources import ResourceReport, ReportRow, crossover_n, max_n_for_budget, verify_counts
 from .sequence import count_ops, effective_unitary, load_sequence, save_sequence
 
@@ -124,9 +125,7 @@ def cmd_gap(args) -> int:
         if args.substeps is not None:
             cfg.trotter_substeps = args.substeps
         else:
-            from .pea import build_pea
-
-            tau = build_pea(model, cfg).tau
+            tau = resolve_tau(model, cfg)
             cfg.trotter_substeps = substeps_for_target(model, tau, args.k, args.order)
         res = run_pea(model, cfg)
         try:
@@ -167,6 +166,7 @@ def cmd_count(args) -> int:
     mismatches = report.mismatches()
     if mismatches:
         print(f"{len(mismatches)} count mismatches", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "PEAResult",
     "UnresolvedPeaksError",
     "build_pea",
+    "resolve_tau",
     "run_pea",
     "estimate_gap",
     "substeps_for_target",
@@ -114,18 +115,22 @@ class PEAResult:
     counts: dict[str, int] | None = None
 
 
-def _auto_tau(model: BCSModel, k: int) -> float:
-    w = exact_spectrum(model).eigenvalues
-    emax = float(np.max(np.abs(w)))
-    if emax == 0.0:
-        return 1.0
-    return (1.0 - 2.0 ** (-k)) * np.pi / emax
+def resolve_tau(model: BCSModel, cfg: PEAConfig) -> float:
+    """Evolution time of one controlled step U = exp(-iH tau).
 
-
-def _validate_tau(model: BCSModel, tau: float) -> None:
-    w = exact_spectrum(model).eigenvalues
-    if float(np.max(np.abs(w))) * tau > np.pi + 1e-9:
+    cfg.tau when given, else the largest tau that keeps every eigenphase of
+    U one bin inside (-pi, pi].  Diagonalizes H once.  Raises ValueError when
+    the register is too large to simulate or a given tau wraps the spectrum.
+    """
+    k = cfg.k
+    if model.n_modes + k > SIM_LIMIT:
+        raise ValueError(f"register too large to simulate ({model.n_modes + k} > {SIM_LIMIT})")
+    emax = float(np.max(np.abs(exact_spectrum(model).eigenvalues)))
+    if cfg.tau is None:
+        return 1.0 if emax == 0.0 else (1.0 - 2.0 ** (-k)) * np.pi / emax
+    if emax * cfg.tau > np.pi + 1e-9:
         raise ValueError("tau too large: eigenphases of U(tau) must lie in (-pi, pi]")
+    return cfg.tau
 
 
 def _remap(seq: GateSequence, mapping: dict[int, int], num_qubits: int) -> GateSequence:
@@ -144,10 +149,7 @@ def build_pea(model: BCSModel, cfg: PEAConfig) -> PEACircuit:
     """Assemble the layered circuit over the full ancilla+system register."""
     n = model.n_modes
     k = cfg.k
-    if n + k > SIM_LIMIT:
-        raise ValueError(f"register too large to simulate ({n + k} > {SIM_LIMIT})")
-    tau = cfg.tau if cfg.tau is not None else _auto_tau(model, k)
-    _validate_tau(model, tau)
+    tau = resolve_tau(model, cfg)
     total = n + k
 
     layers = [PEALayer(
@@ -261,8 +263,8 @@ def run_pea(model: BCSModel, cfg: PEAConfig,
     """
     n = model.n_modes
     k = cfg.k
-    circuit = build_pea(model, cfg)
-    tau = circuit.tau
+    circuit = build_pea(model, cfg) if cfg.full_bus_simulation else None
+    tau = circuit.tau if circuit is not None else resolve_tau(model, cfg)
     total = n + k
 
     psi_sys = np.asarray(input_state, dtype=complex) if input_state is not None \
@@ -367,9 +369,10 @@ def substeps_for_target(model: BCSModel, tau: float, k: int, order: int = 2,
     """Smallest power-of-two substep count keeping the product-formula error
     below fraction * (energy resolution) over the full controlled evolution."""
     target = fraction * 2.0 * np.pi / (2**k * tau)
+    exact = exact_evolution(model, (2**k) * tau)
     s = 1
     while s <= max_substeps:
-        err = trotter_error(model, (2**k) * tau, s * 2**k, order) / tau
+        err = trotter_error(model, (2**k) * tau, s * 2**k, order, exact=exact) / tau
         if err < target:
             return s
         s *= 2

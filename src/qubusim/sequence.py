@@ -7,8 +7,11 @@ A GateSequence is an ordered list of three instruction kinds:
 * Local(qubit, u, label): an arbitrary 2x2 unitary on one qubit.
 * Barrier(label): structural marker, carries no semantics and no cost.
 
-The executor folds a sequence through the hybrid-state simulator, and
-effective_unitary reconstructs the compiled qubit unitary column by column.
+The executor folds a sequence through the hybrid-state simulator.
+effective_unitary reconstructs the compiled qubit unitary by folding all 2^n
+basis columns through the sequence as two arrays (branch amplitude and bus
+amplitude per basis state and column); it falls back to executing the
+columns one at a time when a local gate hits a qubit entangled with the bus.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hybrid import (
+    COEFF_DROP_TOL,
+    MERGE_TOL,
     EntangledBusError,
     HybridState,
     _check_unitary,
@@ -144,7 +149,13 @@ def execute(seq: GateSequence, state: HybridState) -> HybridState:
 
 
 def effective_unitary(seq: GateSequence, n: int | None = None, tol: float = 1e-9) -> np.ndarray:
-    """Compiled qubit unitary, reconstructed one basis column at a time.
+    """Compiled qubit unitary, reconstructed from all 2^n basis inputs.
+
+    Every basis column is folded through the sequence in one array pass
+    (see _fold_columns).  When a local gate hits a qubit still entangled with
+    the bus, the inputs no longer map to one branch per basis state and the
+    call falls back to executing the columns one at a time, which emits
+    EntangledBusWarning.
 
     Requires the sequence to leave the bus disentangled on every basis input
     and to return it to the same amplitude for all of them, so the register
@@ -154,20 +165,109 @@ def effective_unitary(seq: GateSequence, n: int | None = None, tol: float = 1e-9
         n = seq.num_qubits
     if n != seq.num_qubits:
         raise ValueError("n must equal the sequence register size")
+    if n <= 0:
+        raise ValueError(f"need a positive qubit count, got {n}")
     if n > 10:
         raise ValueError("effective_unitary supports at most 10 qubits")
+    folded = _fold_columns(seq, n)
+    if folded is None:
+        u, residuals = _execute_columns(seq, n, tol)
+    else:
+        u, alpha = folded
+        residuals = _folded_residuals(u, alpha, tol)
+    if np.max(np.abs(residuals - residuals[0])) > tol:
+        raise EntangledBusError("residual bus amplitude depends on the input basis state")
+    if np.max(np.abs(u.conj().T @ u - np.eye(2**n))) > 1e-9:
+        raise EntangledBusError("reconstructed matrix is not unitary; bus leakage suspected")
+    return u
+
+
+def _fold_columns(seq: GateSequence, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Fold all basis columns at once: (C, A), or None if a local is entangled.
+
+    C[b, j] is the amplitude of basis b for input column j and A[b, j] the
+    bus amplitude of that branch: one branch per (b, j), which stays true
+    while no local gate mixes two rows in the support with different bus
+    amplitudes.  A displacement adds s_q(b) beta to A and the phase
+    Im(s_q(b) beta conj(A)) to C, as apply_displacement does.  A run of
+    displacements composes as D(a) D(b) = exp((a conj(b) - conj(a) b)/2)
+    D(a + b), so its pairwise phases depend on the row only and the run
+    touches C and A once.  A local gate mixes row b with row b ^ q; the pair
+    keeps the bus amplitude of its row in the support.  Amplitudes at or
+    below COEFF_DROP_TOL are zeroed, as merge_branches drops them.
+    """
+    dim = 2**n
+    rows = np.arange(dim)
+    c = np.eye(dim, dtype=complex)
+    a = np.zeros((dim, dim), dtype=complex)
+    run_alpha = np.zeros(dim, dtype=complex)  # net displacement of the pending run
+    run_phase = np.zeros(dim)                 # its pairwise phases
+
+    for ins in seq.instructions:
+        if isinstance(ins, Barrier):
+            continue
+        if not 0 <= ins.qubit < n:
+            raise IndexError(f"qubit {ins.qubit} out of range for {n} qubits")
+        shift = n - 1 - ins.qubit
+        if isinstance(ins, Displace):
+            beta = complex(ins.beta)
+            if not np.isfinite(beta.real) or not np.isfinite(beta.imag):
+                raise ValueError("displacement amplitude must be finite")
+            d = (1.0 - 2.0 * ((rows >> shift) & 1)) * beta
+            run_phase += (d * run_alpha.conj()).imag
+            run_alpha += d
+            continue
+        _apply_run(c, a, run_alpha, run_phase)
+        # rows grouped as (higher bits, bit of the qubit, lower bits and column)
+        c3 = c.reshape(dim >> (shift + 1), 2, -1)
+        a3 = a.reshape(c3.shape)
+        in0 = np.abs(c3[:, 0]) > COEFF_DROP_TOL
+        in1 = np.abs(c3[:, 1]) > COEFF_DROP_TOL
+        if np.any(in0 & in1 & (np.abs(a3[:, 0] - a3[:, 1]) > MERGE_TOL)):
+            return None
+        a3[:] = np.where(in0, a3[:, 0], a3[:, 1])[:, None]
+        c = _check_unitary(ins.u) @ c3
+        c[np.abs(c) <= COEFF_DROP_TOL] = 0
+        c = c.reshape(dim, dim)
+    _apply_run(c, a, run_alpha, run_phase)
+    return c, a
+
+
+def _apply_run(c: np.ndarray, a: np.ndarray, run_alpha: np.ndarray, run_phase: np.ndarray) -> None:
+    """Apply a pending displacement run to C and A in place, then clear it."""
+    if not (run_alpha.any() or run_phase.any()):
+        return
+    c *= np.exp(1j * ((run_alpha[:, None] * a.conj()).imag + run_phase[:, None]))
+    a += run_alpha[:, None]
+    run_alpha[:] = 0
+    run_phase[:] = 0
+
+
+def _folded_residuals(c: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray:
+    """Per-column bus amplitude, checking each column left the bus disentangled.
+
+    The check is is_bus_disentangled's: every branch in the support lies
+    within tol of the |coeff|^2-weighted mean.  The residual of a column is
+    the bus amplitude of its first branch.
+    """
+    support = np.abs(c) > COEFF_DROP_TOL
+    weights = np.where(support, np.abs(c) ** 2, 0.0)
+    mean = np.sum(weights * a, axis=0) / np.sum(weights, axis=0)
+    if np.max(np.where(support, np.abs(a - mean), 0.0)) > tol:
+        raise EntangledBusError("bus is still entangled with the register")
+    return a[np.argmax(support, axis=0), np.arange(c.shape[1])]
+
+
+def _execute_columns(seq: GateSequence, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reference path: execute each basis column through the branch simulator."""
     dim = 2**n
     u = np.zeros((dim, dim), dtype=complex)
-    residuals = []
+    residuals = np.zeros(dim, dtype=complex)
     for j in range(dim):
         out = execute(seq, init_state(n, format(j, f"0{n}b")))
         u[:, j] = qubit_amplitudes(out, tol)
-        residuals.append(out.branches[0].alpha if out.branches else 0j)
-    if max(abs(r - residuals[0]) for r in residuals) > tol:
-        raise EntangledBusError("residual bus amplitude depends on the input basis state")
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > 1e-9:
-        raise EntangledBusError("reconstructed matrix is not unitary; bus leakage suspected")
-    return u
+        residuals[j] = out.branches[0].alpha if out.branches else 0j
+    return u, residuals
 
 
 # ---------------------------------------------------------------------------

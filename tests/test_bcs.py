@@ -1,5 +1,7 @@
 """Pairing-model assembly, spectra, sectors, evolution."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,21 @@ def test_coupling_matrix_validation():
         CouplingMatrix(2, np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         CouplingMatrix(2, np.array([[1.0, 0.5], [0.5, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coupling_matrix_rejects_non_finite(bad, tmp_path):
+    with pytest.raises(ValueError, match="finite"):
+        CouplingMatrix(2, np.array([[0.0, bad], [bad, 0.0]]))
+
+    from qubusim.bcs import load_model
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(
+        {"N": 2, "n": 1, "eps": [1.0, 1.0], "V": [[0.0, bad], [bad, 0.0]], "r": 1.0}))
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    with pytest.raises(ValueError, match="finite"):
+        load_model(path)
 
 
 def test_spectrum_csv_format():

@@ -144,6 +144,20 @@ def test_count_verify_mode_has_no_mismatches(tmp_path):
             assert row["compiled"] == row["formula"], row
 
 
+def test_count_verify_mode_exits_3_on_mismatch(tmp_path, monkeypatch, capsys):
+    from qubusim import cli
+    from qubusim.resources import ReportRow, ResourceReport
+
+    def mismatching(seed):
+        return ResourceReport([ReportRow("naive", n=3, formula_count=12, compiled_count=13)])
+
+    monkeypatch.setattr(cli, "verify_counts", mismatching)
+    out = str(tmp_path / "table.csv")
+    assert main(["count", "--verify-counts", "--out", out]) == 3
+    assert "1 count mismatches" in capsys.readouterr().err
+    assert "naive,3" in open(out).read()
+
+
 def test_outputs_are_deterministic(model_file, tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     args = ["pea", "--model", model_file, "--k", "4", "--substeps", "1",

@@ -3,9 +3,24 @@
 import numpy as np
 import pytest
 
-from qubusim.builders import Carryover, HADAMARD, build_cphase, build_uzz
-from qubusim.bcs import CouplingMatrix
-from qubusim.hybrid import init_state
+from qubusim.builders import (
+    HADAMARD,
+    Carryover,
+    FixedRange,
+    Limited,
+    Naive,
+    QftMode,
+    Stepwise,
+    build_adiabatic_init,
+    build_cphase,
+    build_qft,
+    build_trotter_step,
+    build_uzz,
+    make_controlled,
+    make_controlled_locals,
+)
+from qubusim.bcs import BCSModel, CouplingMatrix
+from qubusim.hybrid import EntangledBusError, init_state, qubit_amplitudes
 from qubusim.sequence import (
     Barrier,
     Displace,
@@ -21,7 +36,7 @@ from qubusim.sequence import (
     sequence_to_json,
 )
 
-from oracles import random_dense_coupling
+from oracles import banded_coupling, haar_unitary_2, product_coupling, random_dense_coupling
 
 
 def test_count_ops_ignores_barriers():
@@ -113,3 +128,71 @@ def test_json_rejects_unknown_ops_and_versions():
     doc["instructions"][0]["op"] = "squeeze"
     with pytest.raises(ValueError):
         sequence_from_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# effective_unitary against a column-by-column reference
+# ---------------------------------------------------------------------------
+
+def columns_reference(seq: GateSequence) -> np.ndarray:
+    """The compiled unitary from executing each basis column separately."""
+    n = seq.num_qubits
+    cols = [qubit_amplitudes(execute(seq, init_state(n, format(j, f"0{n}b"))))
+            for j in range(2**n)]
+    return np.column_stack(cols)
+
+
+def _model(n: int, seed: int) -> BCSModel:
+    rng = np.random.default_rng(seed)
+    return BCSModel(n, n // 2, rng.uniform(0.5, 2.0, n),
+                    CouplingMatrix(n, random_dense_coupling(n, rng, 0.05, 0.5)))
+
+
+def _sequences():
+    rng = np.random.default_rng(401)
+    dense = CouplingMatrix(4, random_dense_coupling(4, rng))
+    yield "uzz-naive", build_uzz(dense, Naive())
+    yield "uzz-stepwise", build_uzz(dense, Stepwise())
+    yield "uzz-carryover", build_uzz(dense, Carryover())
+    yield "uzz-limited", build_uzz(CouplingMatrix(4, product_coupling(4)), Limited())
+    yield "uzz-fixed-range", build_uzz(CouplingMatrix(5, banded_coupling(5, 2, rng)),
+                                       FixedRange(2))
+    v3 = CouplingMatrix(3, random_dense_coupling(3, rng))
+    for axis in ("x", "y", "z"):
+        yield f"controlled-{axis}", make_controlled(v3, ancilla=0, axis=axis)
+    yield "controlled-locals", make_controlled_locals(
+        [haar_unitary_2(rng) for _ in range(3)], ancilla=1)
+    model = _model(3, 409)
+    for order in (1, 2):
+        yield f"trotter-o{order}", build_trotter_step(model, 0.4, order=order)
+        yield f"trotter-o{order}-controlled", build_trotter_step(model, 0.4, order=order,
+                                                                 controlled=0)
+    yield "qft", build_qft(3)
+    yield "qft-measurement-ready", build_qft(3, QftMode(measurement_ready=True, forward=False))
+    yield "adiabatic-init", build_adiabatic_init(model, 3, 0.2)
+    # echo: X flips the sign of each qubit's displacement while the bus is
+    # displaced by that qubit alone, so the bus returns to vacuum and the
+    # enclosed areas leave a ZZ phase
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    yield "echo", GateSequence(2, [Displace(0, 0.4), Displace(1, 0.3j), Local(0, x),
+                                   Displace(0, 0.4), Local(1, x), Displace(1, 0.3j)])
+
+
+@pytest.mark.parametrize("seq", [pytest.param(seq, id=name) for name, seq in _sequences()])
+def test_effective_unitary_matches_column_reference(seq, recwarn):
+    u = effective_unitary(seq)
+    assert np.max(np.abs(u - columns_reference(seq))) <= 1e-12
+    assert not [w for w in recwarn.list if issubclass(w.category, EntangledBusWarning)]
+
+
+def test_effective_unitary_entangled_local_warns_and_raises():
+    seq = GateSequence(1, [Local(0, HADAMARD), Displace(0, 0.6), Local(0, HADAMARD)])
+    with pytest.warns(EntangledBusWarning), pytest.raises(EntangledBusError):
+        effective_unitary(seq)
+
+
+def test_effective_unitary_rejects_non_finite_beta():
+    seq = build_cphase(0, 1, 0.3)
+    seq.instructions.insert(2, Displace(1, complex(np.nan, 0.0)))
+    with pytest.raises(ValueError, match="finite"):
+        effective_unitary(seq)
