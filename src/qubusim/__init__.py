@@ -34,6 +34,7 @@ from .bcs import (
     trotter_error,
 )
 from .builders import (
+    STRATEGY_NAMES,
     Carryover,
     FixedRange,
     InfeasibleStrategyError,
@@ -43,7 +44,6 @@ from .builders import (
     QftMode,
     Stepwise,
     Strategy,
-    UnsatisfiableCarryoverError,
     adiabatic_steps,
     build_adiabatic_init,
     build_cnot,
@@ -58,6 +58,7 @@ from .builders import (
     make_controlled,
     make_controlled_locals,
     solve_carryover,
+    strategy_from_name,
 )
 from .hybrid import (
     BranchTerm,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bcs import BCSModel, CouplingMatrix
+from .resources import _FORMULAS, _formula_args
 from .sequence import Barrier, Displace, GateSequence, Local, count_ops
 
 __all__ = [
@@ -39,7 +40,8 @@ __all__ = [
     "Strategy",
     "InfeasibleStrategyError",
     "NotProductFormError",
-    "UnsatisfiableCarryoverError",
+    "STRATEGY_NAMES",
+    "strategy_from_name",
     "DEFAULT_BETA_BOUND",
     "build_cphase",
     "build_uzz",
@@ -77,11 +79,6 @@ class NotProductFormError(InfeasibleStrategyError):
     """Couplings lack the rank-one product structure the limited schedule needs."""
 
 
-class UnsatisfiableCarryoverError(InfeasibleStrategyError):
-    """No carryover chain exists for the coupling graph (not raised in practice:
-    the planner restarts a fresh chain per connected component)."""
-
-
 @dataclass(frozen=True)
 class Naive:
     pass
@@ -114,32 +111,6 @@ class FixedRange:
 
 
 Strategy = Naive | Stepwise | Carryover | Limited | FixedRange
-
-
-def strategy_name(s: Strategy) -> str:
-    return {
-        Naive: "naive",
-        Stepwise: "stepwise",
-        Carryover: "carryover",
-        Limited: "limited",
-        FixedRange: "fixed-range",
-    }[type(s)]
-
-
-def dense_formula_count(s: Strategy, n: int) -> int:
-    """Closed-form bus-operation count for fully dense couplings."""
-    if isinstance(s, Naive):
-        return 2 * n * n - 2 * n
-    if isinstance(s, Stepwise):
-        return n * n + n - 2
-    if isinstance(s, Carryover):
-        return n * n - n + 2
-    if isinstance(s, Limited):
-        return 4 * n - 4
-    if isinstance(s, FixedRange):
-        p = s.p
-        return 2 * p * n - p * p - p + 2
-    raise TypeError(f"unknown strategy {s!r}")
 
 
 def _partner_amp(active: complex, phase_coeff: float) -> complex:
@@ -194,17 +165,7 @@ def build_cnot(control: int, target: int, num_qubits: int | None = None) -> Gate
     if control == target:
         raise ValueError("control and target must differ")
     n = num_qubits if num_qubits is not None else max(control, target) + 1
-    corr = _zrot(math.pi / 4)  # exp(-i pi/4 Z)
-    core_b = _partner_amp(1.0 + 0j, math.pi / 4)
-    ins = [
-        Local(target, HADAMARD, "h"),
-        Displace(control, 1.0 + 0j),
-        Displace(target, core_b),
-        Displace(control, -1.0 + 0j),
-        Displace(target, -core_b),
-        Local(target, HADAMARD @ corr, "h+phase"),
-    ]
-    return GateSequence(n, ins, {"strategy": "cnot"})
+    return GateSequence(n, _cnot_gadget(control, target, 1), {"strategy": "cnot"})
 
 
 # ---------------------------------------------------------------------------
@@ -224,33 +185,36 @@ def _active_scale(coeffs: list[float], beta_bound: float) -> float:
     return math.sqrt(worst)
 
 
-def _build_naive(v: CouplingMatrix, beta_bound: float) -> list:
+def _cycle(active: int, partners: list[int], coeffs: list[float], beta_bound: float) -> list:
+    """One disconnected cycle: the active qubit against every partner, with
+    phase coefficient coeffs[i] on the pair (active, partners[i])."""
+    x = _active_scale(coeffs, beta_bound)
+    amps = [_partner_amp(x, c) for c in coeffs]
+    return ([Displace(active, x)] + [Displace(l, p) for l, p in zip(partners, amps)]
+            + [Displace(active, -x)] + [Displace(l, -p) for l, p in zip(partners, amps)])
+
+
+def _build_naive(v: CouplingMatrix, _strategy: Naive, beta_bound: float) -> list:
+    """One four-displacement cycle per coupled pair (written out: it is the
+    innermost loop of the largest schedule)."""
     ins = []
     for m in range(v.n):
         for l in range(m + 1, v.n):
-            if v.v[m, l] == 0.0:
-                continue
-            c = v.v[m, l] / 2.0
-            x = _active_scale([c], beta_bound)
-            p = _partner_amp(x, c)
-            ins += [Displace(m, x), Displace(l, p), Displace(m, -x), Displace(l, -p)]
+            if v.v[m, l] != 0.0:
+                c = v.v[m, l] / 2.0
+                x = _active_scale([c], beta_bound)
+                p = _partner_amp(x, c)
+                ins += [Displace(m, x), Displace(l, p), Displace(m, -x), Displace(l, -p)]
     return ins
 
 
-def _build_stepwise(v: CouplingMatrix, beta_bound: float) -> list:
+def _build_stepwise(v: CouplingMatrix, _strategy: Stepwise, beta_bound: float) -> list:
     """One disconnected cycle per qubit m, covering all pairs (m, l>m)."""
     ins = []
     for m in range(v.n - 1):
         partners = [l for l in range(m + 1, v.n) if v.v[m, l] != 0.0]
-        if not partners:
-            continue
-        coeffs = [v.v[m, l] / 2.0 for l in partners]
-        x = _active_scale(coeffs, beta_bound)
-        amps = [_partner_amp(x, c) for c in coeffs]
-        ins.append(Displace(m, x))
-        ins += [Displace(l, p) for l, p in zip(partners, amps)]
-        ins.append(Displace(m, -x))
-        ins += [Displace(l, -p) for l, p in zip(partners, amps)]
+        if partners:
+            ins += _cycle(m, partners, [v.v[m, l] / 2.0 for l in partners], beta_bound)
     return ins
 
 
@@ -337,7 +301,8 @@ def solve_carryover(v: CouplingMatrix, beta_bound: float = DEFAULT_BETA_BOUND) -
     return plan
 
 
-def _build_carryover(v: CouplingMatrix, beta_bound: float) -> list:
+def _build_carryover(v: CouplingMatrix, _strategy: Carryover | FixedRange,
+                     beta_bound: float) -> list:
     ins = []
     for step in solve_carryover(v, beta_bound):
         if step.fresh:
@@ -408,7 +373,7 @@ def decompose_limited(v: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _build_limited(v: CouplingMatrix, strategy: Limited, beta_bound: float) -> list:
+def _build_limited(v: CouplingMatrix, strategy: Limited, _beta_bound: float) -> list:
     if strategy.a is not None and strategy.b is not None:
         a = np.asarray(strategy.a, dtype=float)
         b = np.asarray(strategy.b, dtype=float)
@@ -446,6 +411,57 @@ def _build_limited(v: CouplingMatrix, strategy: Limited, beta_bound: float) -> l
     return ins
 
 
+def _build_fixed_range(v: CouplingMatrix, strategy: FixedRange, beta_bound: float) -> list:
+    p = strategy.p
+    if not 1 <= p <= v.n - 1:
+        raise InfeasibleStrategyError(f"interaction range must lie in [1, {v.n - 1}]")
+    if v.max_range() > p:
+        raise InfeasibleStrategyError(
+            f"couplings reach beyond range {p}; found range {v.max_range()}"
+        )
+    return _build_carryover(v, strategy, beta_bound)
+
+
+# The schedule registry: strategy class -> (name, resources formula kind,
+# builder).  Everything that knows the set of schedules reads it.
+_SCHEDULES = {
+    Naive: ("naive", "uzz_naive", _build_naive),
+    Stepwise: ("stepwise", "uzz_stepwise", _build_stepwise),
+    Carryover: ("carryover", "uzz_carryover", _build_carryover),
+    Limited: ("limited", "uzz_limited", _build_limited),
+    FixedRange: ("fixed-range", "uzz_fixed_range", _build_fixed_range),
+}
+_BY_NAME = {name: cls for cls, (name, _, _) in _SCHEDULES.items()}
+STRATEGY_NAMES = tuple(_BY_NAME)
+
+
+def _schedule(s: Strategy) -> tuple:
+    try:
+        return _SCHEDULES[type(s)]
+    except KeyError:
+        raise TypeError(f"unknown strategy {s!r}") from None
+
+
+def strategy_from_name(name: str, p: int | None = None) -> Strategy:
+    """The strategy called `name` (one of STRATEGY_NAMES); fixed-range takes
+    its interaction range p, the other schedules ignore p."""
+    if name not in _BY_NAME:
+        raise ValueError(f"unknown strategy {name!r}")
+    if _BY_NAME[name] is FixedRange:
+        if p is None:
+            raise ValueError("fixed-range needs the interaction range p")
+        return FixedRange(p)
+    return _BY_NAME[name]()
+
+
+def dense_formula_count(s: Strategy, n: int) -> int:
+    """Closed-form bus-operation count for fully dense couplings: the
+    resources formula of the schedule, evaluated without its domain check
+    so that any register size (N = 1 included) has a value."""
+    kind = _schedule(s)[1]
+    return _FORMULAS[kind](*_formula_args(kind, {"N": n, "p": getattr(s, "p", None)}))
+
+
 def build_uzz(v: CouplingMatrix, strategy: Strategy,
               beta_bound: float = DEFAULT_BETA_BOUND) -> GateSequence:
     """Compile exp(i sum_{m<l} V[m,l]/2 Z_m Z_l) under the chosen schedule.
@@ -455,28 +471,10 @@ def build_uzz(v: CouplingMatrix, strategy: Strategy,
     fixed-range 2pN-p^2-p+2.  Zero couplings are skipped and only ever
     lower the count.
     """
-    if isinstance(strategy, Naive):
-        ins = _build_naive(v, beta_bound)
-    elif isinstance(strategy, Stepwise):
-        ins = _build_stepwise(v, beta_bound)
-    elif isinstance(strategy, Carryover):
-        ins = _build_carryover(v, beta_bound)
-    elif isinstance(strategy, Limited):
-        ins = _build_limited(v, strategy, beta_bound)
-    elif isinstance(strategy, FixedRange):
-        p = strategy.p
-        if not 1 <= p <= v.n - 1:
-            raise InfeasibleStrategyError(f"interaction range must lie in [1, {v.n - 1}]")
-        if v.max_range() > p:
-            raise InfeasibleStrategyError(
-                f"couplings reach beyond range {p}; found range {v.max_range()}"
-            )
-        ins = _build_carryover(v, beta_bound)
-    else:
-        raise TypeError(f"unknown strategy {strategy!r}")
-    seq = GateSequence(v.n, ins)
+    name, _, build = _schedule(strategy)
+    seq = GateSequence(v.n, build(v, strategy, beta_bound))
     seq.metadata = {
-        "strategy": strategy_name(strategy),
+        "strategy": name,
         "bus_ops": count_ops(seq)["bus"],
         "bus_ops_dense": dense_formula_count(strategy, v.n),
     }
@@ -502,15 +500,16 @@ def conjugate_to_axis(seq: GateSequence, axis: str) -> GateSequence:
     for ins in seq.instructions:
         if isinstance(ins, Local) and not _is_diagonal_local(ins.u):
             raise ValueError("sequence must implement a Z-diagonal effect")
-    w = _W_AXIS[axis]
     n = seq.num_qubits
-    pre = [Local(q, w.conj().T, f"to-{axis}") for q in range(n)]
-    post = [Local(q, w, f"from-{axis}") for q in range(n)]
-    return GateSequence(
-        n,
-        pre + list(seq.instructions) + post,
-        dict(seq.metadata, axis=axis),
-    )
+    return GateSequence(n, _to_axis(seq.instructions, range(n), axis),
+                        dict(seq.metadata, axis=axis))
+
+
+def _to_axis(instructions: list, qubits, axis: str) -> list:
+    """Wrap instructions in the basis change W^dag ... W on each qubit."""
+    w = _W_AXIS[axis]
+    return ([Local(q, w.conj().T, f"to-{axis}") for q in qubits] + list(instructions)
+            + [Local(q, w, f"from-{axis}") for q in qubits])
 
 
 def build_u0(eps: np.ndarray, tau: float, num_qubits: int | None = None) -> GateSequence:
@@ -574,21 +573,12 @@ def make_controlled(v: CouplingMatrix, ancilla: int = 0, axis: str = "z",
         common = sys_q[m]
         for half_sign, core_sign in ((1, 1), (-1, -1)):
             coeffs = [half_sign * v.v[m, l] / 4.0 for l in partners]
-            x = _active_scale(coeffs, beta_bound)
-            amps = [_partner_amp(x, c) for c in coeffs]
-            ins.append(Displace(common, x))
-            ins += [Displace(sys_q[l], p) for l, p in zip(partners, amps)]
-            ins.append(Displace(common, -x))
-            ins += [Displace(sys_q[l], -p) for l, p in zip(partners, amps)]
+            ins += _cycle(common, [sys_q[l] for l in partners], coeffs, beta_bound)
             ins += _cnot_gadget(ancilla, common, core_sign)
         ins.append(Barrier(f"cycle-{m}"))
-    seq = GateSequence(n, ins, {"strategy": f"controlled-{axis}zz", "ancilla": ancilla})
-    if axis == "z":
-        return seq
-    w = _W_AXIS[axis]
-    pre = [Local(q, w.conj().T, f"to-{axis}") for q in sys_q]
-    post = [Local(q, w, f"from-{axis}") for q in sys_q]
-    return GateSequence(n, pre + seq.instructions + post, seq.metadata)
+    if axis != "z":
+        ins = _to_axis(ins, sys_q, axis)
+    return GateSequence(n, ins, {"strategy": f"controlled-{axis}zz", "ancilla": ancilla})
 
 
 def _su2_split(u: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -607,8 +597,7 @@ def _su2_split(u: np.ndarray) -> tuple[float, np.ndarray, float]:
     return delta, q, eta
 
 
-def make_controlled_locals(us: list[np.ndarray], ancilla: int = 0,
-                           beta_bound: float = DEFAULT_BETA_BOUND) -> GateSequence:
+def make_controlled_locals(us: list[np.ndarray], ancilla: int = 0) -> GateSequence:
     """Controlled tensor product of N single-qubit unitaries in 8N+4 ops.
 
     Uses half-power locals between two bus fan-outs (the fan-out is every
@@ -698,7 +687,7 @@ def build_trotter_step(model: BCSModel, tau: float, order: int = 2,
                 seq = build_u0(model.eps, -t, n)
                 return seq
             us = [np.diag([np.exp(-0.5j * e * t), np.exp(0.5j * e * t)]) for e in model.eps]
-            return make_controlled_locals(us, ancilla=controlled, beta_bound=beta_bound)
+            return make_controlled_locals(us, ancilla=controlled)
         scale = -t * coupling_scale * (model.r if kind == "yy" else 1.0)
         coupling = model.v.scaled(scale)
         axis = "x" if kind == "xx" else "y"
@@ -741,11 +730,11 @@ def build_adiabatic_init(model: BCSModel, steps: int, tau: float,
     seq = GateSequence(model.n_modes, [], {"strategy": f"adiabatic-{ramp}", "steps": steps})
     for j in range(1, steps + 1):
         c = ramps[ramp](j / steps)
-        seq.extend(build_trotter_step(model, tau, order=1, strategy=strategy,
-                                      coupling_scale=c, beta_bound=beta_bound))
-    per_step = count_ops(build_trotter_step(model, tau, order=1, strategy=strategy,
-                                            beta_bound=beta_bound))
-    seq.metadata["ops_per_step"] = per_step["total"]
+        step = build_trotter_step(model, tau, order=1, strategy=strategy,
+                                  coupling_scale=c, beta_bound=beta_bound)
+        seq.extend(step)
+    # Both ramps end at c = 1, so the last step is the unscaled step.
+    seq.metadata["ops_per_step"] = count_ops(step)["total"]
     return seq
 
 
@@ -759,7 +748,7 @@ class QftMode:
     forward: bool = True
 
 
-def build_qft(k: int, mode: QftMode = QftMode(), beta_bound: float = DEFAULT_BETA_BOUND) -> GateSequence:
+def build_qft(k: int, mode: QftMode = QftMode()) -> GateSequence:
     """Fourier transform on k qubits with all controlled phases bus-mediated.
 
     Every two-qubit rotation is a pure ZZ exponential, so the whole ladder

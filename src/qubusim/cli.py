@@ -14,15 +14,7 @@ import sys
 import numpy as np
 
 from .bcs import energy_gap, exact_spectrum, load_model, spectrum_to_csv
-from .builders import (
-    Carryover,
-    FixedRange,
-    InfeasibleStrategyError,
-    Limited,
-    Naive,
-    Stepwise,
-    build_uzz,
-)
+from .builders import STRATEGY_NAMES, InfeasibleStrategyError, build_uzz, strategy_from_name
 from .pea import (PEAConfig, UnresolvedPeaksError, estimate_gap, resolve_tau, result_to_json,
                   run_pea, substeps_for_target)
 from .resources import ResourceReport, ReportRow, crossover_n, max_n_for_budget, verify_counts
@@ -32,22 +24,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_UNRESOLVED = 4
-
-
-def _strategy_from_name(name: str, p: int | None):
-    table = {
-        "naive": Naive,
-        "stepwise": Stepwise,
-        "carryover": Carryover,
-        "limited": Limited,
-    }
-    if name == "fixed-range":
-        if p is None:
-            raise SystemExit("--strategy fixed-range requires --p")
-        return FixedRange(p)
-    if name not in table:
-        raise SystemExit(f"unknown strategy {name!r}")
-    return table[name]()
 
 
 def _write(text: str, path: str | None) -> None:
@@ -72,7 +48,12 @@ def _diagonal_target(v: np.ndarray) -> np.ndarray:
 
 def cmd_compile(args) -> int:
     model = load_model(args.model)
-    strategy = _strategy_from_name(args.strategy, args.p)
+    if args.strategy == "fixed-range" and args.p is None:
+        raise SystemExit("--strategy fixed-range requires --p")
+    try:
+        strategy = strategy_from_name(args.strategy, args.p)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     try:
         seq = build_uzz(model.v, strategy)
     except InfeasibleStrategyError as exc:
@@ -94,7 +75,11 @@ def cmd_verify(args) -> int:
     from .hybrid import EntangledBusError
 
     model = load_model(args.model)
-    seq = load_sequence(args.sequence)
+    try:
+        seq = load_sequence(args.sequence)
+    except ValueError as exc:
+        print(f"FAIL: invalid sequence ({exc})")
+        return EXIT_VERIFY_FAILED
     target = _diagonal_target(model.v.v)
     try:
         u = effective_unitary(seq, seq.num_qubits)
@@ -179,8 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compile", help="compile a coupled-spin evolution to bus operations")
     c.add_argument("--model", required=True)
-    c.add_argument("--strategy", default="carryover",
-                   choices=["naive", "stepwise", "carryover", "limited", "fixed-range"])
+    c.add_argument("--strategy", default="carryover", choices=STRATEGY_NAMES)
     c.add_argument("--p", type=int, default=None, help="interaction range for fixed-range")
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_compile)

@@ -135,7 +135,8 @@ def _check_unitary(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("local unitaries must be 2x2")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > tol:
+    # Written so that NaN entries fail the check too.
+    if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= tol:
         raise ValueError("matrix is not unitary within 1e-12")
     return u
 

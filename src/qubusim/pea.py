@@ -80,8 +80,8 @@ class PEAConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("need at least one ancilla")
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if self.tau is not None and not (np.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be positive and finite")
         if self.trotter_substeps < 1:
             raise ValueError("need at least one substep")
 
@@ -332,7 +332,7 @@ def run_pea(model: BCSModel, cfg: PEAConfig,
     return result
 
 
-def estimate_gap(res: PEAResult, cfg: PEAConfig | None = None) -> float:
+def estimate_gap(res: PEAResult) -> float:
     """Energy gap from the two dominant, resolvable outcome peaks.
 
     Peaks must sit more than one resolution bin apart; probability ties

@@ -1,10 +1,13 @@
 """Closed-form operation counts and the formula-versus-compiler audit.
 
-Every schedule the compiler emits has an exact dense-input cost formula;
-this module evaluates them, composes whole-run totals, locates the
-crossover against the reference nuclear-spin implementation, and checks
-each formula against the instruction count of an actually compiled
-sequence (integer equality, no tolerance).
+Every schedule the compiler emits has an exact dense-input cost formula.
+_FORMULAS is the one table of them: each kind maps to a function whose
+argument names are the parameters it needs (the builders' registry names
+the kind of each U_zz schedule and reads its count from here).  This module
+evaluates them, composes whole-run totals, locates the crossover against
+the reference nuclear-spin implementation, and checks each formula against
+the instruction count of an actually compiled sequence (integer equality,
+no tolerance).
 
 Cost model summary (bus operations + local unitaries):
 
@@ -34,6 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bcs import BCSModel, CouplingMatrix
+
 __all__ = [
     "CountFormula",
     "ResourceReport",
@@ -50,10 +55,12 @@ __all__ = [
 LEVEL_SPACING_RATIO = 0.1  # d / Delta, adopted as an input constant
 
 
-def _need(params: dict, *names):
+def _formula_args(kind: str, params: dict) -> list:
+    """Values of the parameters the kind's formula takes, in its order."""
+    code = _FORMULAS[kind].__code__
     out = []
-    for name in names:
-        if name not in params or params[name] is None:
+    for name in code.co_varnames[:code.co_argcount]:
+        if params.get(name) is None:
             raise ValueError(f"formula needs parameter {name!r}")
         out.append(params[name])
     return out
@@ -74,42 +81,32 @@ def _check_domain(params: dict) -> None:
         raise ValueError("delta must lie in (0, 1)")
 
 
+# The count table: one function per kind, whose argument names are the
+# parameters that kind needs.
 _FORMULAS = {
-    "uzz_naive": lambda P: 2 * P["N"] ** 2 - 2 * P["N"],
-    "uzz_stepwise": lambda P: P["N"] ** 2 + P["N"] - 2,
-    "uzz_carryover": lambda P: P["N"] ** 2 - P["N"] + 2,
-    "uzz_limited": lambda P: 4 * P["N"] - 4,
-    "uzz_fixed_range": lambda P: 2 * P["p"] * P["N"] - P["p"] ** 2 - P["p"] + 2,
-    "init_general": lambda P: 2 * P["N"] ** 2 + 3 * P["N"] + 4,
-    "init_limited": lambda P: 13 * P["N"] - 8,
-    "init_fixed_range": lambda P: 4 * P["p"] * P["N"] + 5 * P["N"] - 2 * P["p"] ** 2 - 2 * P["p"] + 4,
-    "ctrl_uzz": lambda P: 2 * (P["N"] ** 2 + 7 * P["N"] - 8),
-    "ctrl_uzz_axis": lambda P: 2 * (P["N"] ** 2 + 8 * P["N"] - 8),
-    "ctrl_locals": lambda P: 8 * P["N"] + 4,
-    "pea_general": lambda P: (2 ** P["k"] - 1) * (6 * P["N"] ** 2 + 64 * P["N"] - 40),
-    "pea_limited": lambda P: (2 ** P["k"] - 1)
-    * (12 * P["N"] * P["p"] - 6 * P["p"] ** 2 - 6 * P["p"] + 70 * P["N"] - 40),
-    "qft": lambda P: 6 * P["k"] - 5,
-    "nmr": lambda P: (6.0 / P["delta"]) * P["N"] ** 4,
-    "qubus_nn": lambda P: (LEVEL_SPACING_RATIO * math.pi / P["delta"]) * (1649 * P["N"] - 1040),
-    "total_general": lambda P: total_ops("general", P["N"], k=P["k"], delta=P["delta"]),
-    "total_limited": lambda P: total_ops("limited", P["N"], p=P["p"], k=P["k"], delta=P["delta"]),
-    "total_general_precision": lambda P: total_ops_precision("general", P["N"], delta=P["delta"]),
-    "total_limited_precision": lambda P: total_ops_precision("limited", P["N"], p=P["p"], delta=P["delta"]),
+    "uzz_naive": lambda N: 2 * N**2 - 2 * N,
+    "uzz_stepwise": lambda N: N**2 + N - 2,
+    "uzz_carryover": lambda N: N**2 - N + 2,
+    "uzz_limited": lambda N: 4 * N - 4,
+    "uzz_fixed_range": lambda N, p: 2 * p * N - p**2 - p + 2,
+    "init_general": lambda N: 2 * N**2 + 3 * N + 4,
+    "init_limited": lambda N: 13 * N - 8,
+    "init_fixed_range": lambda N, p: 4 * p * N + 5 * N - 2 * p**2 - 2 * p + 4,
+    "ctrl_uzz": lambda N: 2 * (N**2 + 7 * N - 8),
+    "ctrl_uzz_axis": lambda N: 2 * (N**2 + 8 * N - 8),
+    "ctrl_locals": lambda N: 8 * N + 4,
+    "pea_general": lambda N, k: (2**k - 1) * (6 * N**2 + 64 * N - 40),
+    "pea_limited": lambda N, p, k: (2**k - 1) * (12 * N * p - 6 * p**2 - 6 * p + 70 * N - 40),
+    "qft": lambda k: 6 * k - 5,
+    "nmr": lambda N, delta: (6.0 / delta) * N**4,
+    "qubus_nn": lambda N, delta: (LEVEL_SPACING_RATIO * math.pi / delta) * (1649 * N - 1040),
+    "total_general": lambda N, k, delta: total_ops("general", N, k=k, delta=delta),
+    "total_limited": lambda N, p, k, delta: total_ops("limited", N, p=p, k=k, delta=delta),
+    "total_general_precision": lambda N, delta: total_ops_precision("general", N, delta=delta),
+    "total_limited_precision": lambda N, p, delta: total_ops_precision("limited", N, p=p, delta=delta),
 }
 
 FORMULA_KINDS = tuple(_FORMULAS)
-
-_REQUIRED = {
-    "uzz_naive": ("N",), "uzz_stepwise": ("N",), "uzz_carryover": ("N",),
-    "uzz_limited": ("N",), "uzz_fixed_range": ("N", "p"),
-    "init_general": ("N",), "init_limited": ("N",), "init_fixed_range": ("N", "p"),
-    "ctrl_uzz": ("N",), "ctrl_uzz_axis": ("N",), "ctrl_locals": ("N",),
-    "pea_general": ("N", "k"), "pea_limited": ("N", "p", "k"), "qft": ("k",),
-    "nmr": ("N", "delta"), "qubus_nn": ("N", "delta"),
-    "total_general": ("N", "k", "delta"), "total_limited": ("N", "p", "k", "delta"),
-    "total_general_precision": ("N", "delta"), "total_limited_precision": ("N", "p", "delta"),
-}
 
 
 @dataclass(frozen=True)
@@ -124,9 +121,9 @@ class CountFormula:
 
 def formula_count(f: CountFormula) -> float:
     """Exact closed-form evaluation; integer-valued kinds return whole floats."""
-    _need(f.params, *_REQUIRED[f.kind])
+    args = _formula_args(f.kind, f.params)
     _check_domain(f.params)
-    return float(_FORMULAS[f.kind](f.params))
+    return float(_FORMULAS[f.kind](*args))
 
 
 def _count(kind: str, **params) -> float:
@@ -258,8 +255,6 @@ class ResourceReport:
 
 
 def _dense_coupling(n: int, rng: np.random.Generator):
-    from .bcs import CouplingMatrix
-
     v = rng.uniform(0.3, 1.0, size=(n, n))
     v = (v + v.T) / 2.0
     np.fill_diagonal(v, 0.0)
@@ -267,8 +262,6 @@ def _dense_coupling(n: int, rng: np.random.Generator):
 
 
 def _product_coupling(n: int):
-    from .bcs import CouplingMatrix
-
     v = np.zeros((n, n))
     for m in range(n):
         for l in range(m + 1, n):
@@ -277,8 +270,6 @@ def _product_coupling(n: int):
 
 
 def _banded_coupling(n: int, p: int, rng: np.random.Generator):
-    from .bcs import CouplingMatrix
-
     v = np.zeros((n, n))
     for m in range(n):
         for l in range(m + 1, min(m + p, n - 1) + 1):
@@ -286,46 +277,37 @@ def _banded_coupling(n: int, p: int, rng: np.random.Generator):
     return CouplingMatrix(n, v)
 
 
-def verify_counts(n_range=range(2, 13), strategies=("naive", "stepwise", "carryover",
-                                                    "limited", "fixed-range"),
+def verify_counts(n_range=range(2, 13), strategies=None,
                   k_range=range(2, 11), seed: int = 7) -> ResourceReport:
     """Compile dense instances and compare instruction counts with formulas.
 
-    Counts are integers; rows agree exactly or show up in mismatches().
+    strategies defaults to every schedule (builders.STRATEGY_NAMES); the
+    fixed-range rows cover every range p in [1, N-1].  Counts are integers;
+    rows agree exactly or show up in mismatches().
     """
-    from .bcs import BCSModel
-    from .builders import (Carryover, FixedRange, Limited, Naive, Stepwise,
+    from .builders import (_SCHEDULES, STRATEGY_NAMES, Carryover, FixedRange, Limited,
                            build_qft, build_trotter_step, make_controlled,
-                           make_controlled_locals, build_uzz, QftMode)
+                           make_controlled_locals, build_uzz, QftMode, strategy_from_name)
     from .sequence import count_ops
 
     rng = np.random.default_rng(seed)
     report = ResourceReport()
-    strategy_map = {
-        "naive": (Naive(), "uzz_naive"),
-        "stepwise": (Stepwise(), "uzz_stepwise"),
-        "carryover": (Carryover(), "uzz_carryover"),
-        "limited": (Limited(), "uzz_limited"),
-    }
     for n in n_range:
-        for name in strategies:
-            if name == "fixed-range":
-                for p in range(1, n):
-                    seq = build_uzz(_banded_coupling(n, p, rng), FixedRange(p))
-                    report.rows.append(ReportRow(
-                        "uzz_fixed_range", n=n, p=p,
-                        formula_count=_count("uzz_fixed_range", N=n, p=p),
-                        compiled_count=count_ops(seq)["bus"],
-                    ))
-                continue
-            strategy, kind = strategy_map[name]
-            v = _product_coupling(n) if name == "limited" else _dense_coupling(n, rng)
-            seq = build_uzz(v, strategy)
-            report.rows.append(ReportRow(
-                kind, n=n,
-                formula_count=_count(kind, N=n),
-                compiled_count=count_ops(seq)["bus"],
-            ))
+        for name in STRATEGY_NAMES if strategies is None else strategies:
+            for p in range(1, n) if name == "fixed-range" else (None,):
+                strategy = strategy_from_name(name, p)
+                if p is not None:
+                    v = _banded_coupling(n, p, rng)
+                elif name == "limited":
+                    v = _product_coupling(n)
+                else:
+                    v = _dense_coupling(n, rng)
+                kind = _SCHEDULES[type(strategy)][1]
+                report.rows.append(ReportRow(
+                    kind, n=n, p=p,
+                    formula_count=_count(kind, N=n, p=p),
+                    compiled_count=count_ops(build_uzz(v, strategy))["bus"],
+                ))
         for kind, axis in (("ctrl_uzz", "z"), ("ctrl_uzz_axis", "x")):
             seq = make_controlled(_dense_coupling(n, rng), ancilla=0, axis=axis)
             report.rows.append(ReportRow(

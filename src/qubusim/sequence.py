@@ -312,7 +312,10 @@ def sequence_from_json(doc: dict) -> GateSequence:
     for item in doc["instructions"]:
         op = item["op"]
         if op == "disp":
-            instructions.append(Displace(int(item["q"]), complex(*item["beta"])))
+            beta = complex(*item["beta"])
+            if not np.isfinite(beta):
+                raise ValueError("displacement amplitude must be finite")
+            instructions.append(Displace(int(item["q"]), beta))
         elif op == "local":
             u = np.array(
                 [[complex(*item["u"][r][c]) for c in range(2)] for r in range(2)]

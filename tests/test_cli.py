@@ -96,6 +96,26 @@ def test_verify_roundtrip_and_corruption(model3_file, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field", ["beta", "u"])
+def test_verify_non_finite_sequence_exits_3(model3_file, tmp_path, capsys, field):
+    out = str(tmp_path / "seq.json")
+    main(["compile", "--model", model3_file, "--strategy", "carryover", "--out", out])
+    capsys.readouterr()
+    doc = json.loads(open(out).read())
+    if field == "beta":
+        next(i for i in doc["instructions"] if i["op"] == "disp")["beta"][0] = float("nan")
+    else:
+        doc["instructions"].append({"op": "local", "q": 0, "label": "",
+                                    "u": [[[float("inf"), 0.0], [0.0, 0.0]],
+                                          [[0.0, 0.0], [1.0, 0.0]]]})
+        doc["counts"]["local"] += 1
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--model", model3_file, "--sequence", str(bad)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL")
+
+
 def test_gap_exact_and_pea(model_file, capsys):
     assert main(["gap", "--model", model_file, "--method", "both", "--k", "6"]) == 0
     out = capsys.readouterr().out

@@ -20,7 +20,7 @@ from qubusim.hybrid import (
     state_from_vector,
     to_debug_json,
 )
-from qubusim.sequence import Displace
+from qubusim.sequence import Displace, Local
 
 from oracles import H2
 
@@ -106,6 +106,11 @@ def test_apply_local_identity_and_hadamard():
 def test_apply_local_rejects_non_unitary():
     with pytest.raises(ValueError):
         apply_local(init_state(1, "0"), 0, np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+
+def test_local_rejects_nan_matrix():
+    with pytest.raises(ValueError):
+        Local(0, np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_local_while_bus_entangled_preserves_norm():

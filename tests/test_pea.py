@@ -181,6 +181,12 @@ def test_auto_tau_validation_and_override():
     assert res.tau == 0.5
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), 0.0, -0.5])
+def test_config_rejects_non_finite_or_non_positive_tau(tau):
+    with pytest.raises(ValueError):
+        PEAConfig(k=3, tau=tau)
+
+
 def test_shots_sampling_deterministic():
     model = pairing_model()
     cfg = PEAConfig(k=4, exact_controlled=True, shots=200, seed=9)
