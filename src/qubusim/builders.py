@@ -560,6 +560,8 @@ def make_controlled(v: CouplingMatrix, ancilla: int = 0, axis: str = "z",
     qubit is flipped between them and the halves add up.  Dense couplings
     cost 2(N^2+7N-8) operations, or 2(N^2+8N-8) with an axis transform.
     """
+    if axis != "z" and axis not in _W_AXIS:
+        raise ValueError("axis must be 'z', 'x' or 'y'")
     n_sys = v.n
     n = n_sys + 1
     if not 0 <= ancilla < n:
@@ -676,6 +678,8 @@ def build_trotter_step(model: BCSModel, tau: float, order: int = 2,
     through make_controlled, on a register one qubit wider.
     coupling_scale multiplies the interaction part only (the adiabatic ramp).
     """
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
     if tau <= 0:
         raise ValueError("tau must be positive")
     n = model.n_modes

@@ -49,13 +49,14 @@ __all__ = [
 MERGE_TOL = 1e-12        # alpha equality tolerance when merging branches
 COEFF_DROP_TOL = 1e-14   # branches below this weight are discarded
 DISENTANGLE_TOL = 1e-9   # default tolerance for bus-disentanglement checks
+_PAIR_BLOCK = 1 << 14    # branch pairs per block of inner_product's sum
 
 
 class EntangledBusError(Exception):
     """Raised when an operation requires a disentangled bus and the bus is not."""
 
 
-@dataclass
+@dataclass(slots=True)
 class BranchTerm:
     """One term c |basis> (x) |alpha> of a hybrid state."""
 
@@ -159,16 +160,53 @@ def apply_local(s: HybridState, qubit: int, u: np.ndarray) -> HybridState:
 
 
 def inner_product(s1: HybridState, s2: HybridState) -> complex:
-    """<s1|s2> using coherent overlaps between branches with equal basis."""
+    """<s1|s2> using coherent overlaps between branches with equal basis.
+
+    The branches of s2 are sorted by basis, so each branch of s1 pairs with
+    one contiguous run of them.  The terms conj(c1) c2 <a1|a2> of all
+    equal-basis pairs are summed in blocks of consecutive s1 branches
+    holding at most _PAIR_BLOCK pairs (a branch whose run alone is longer
+    is a block of its own), which bounds the scratch memory at any branch
+    count.
+    """
     if s1.num_qubits != s2.num_qubits:
         raise ValueError("states have different register sizes")
-    by_basis: dict[str, list[BranchTerm]] = {}
-    for br in s2.branches:
-        by_basis.setdefault(br.basis, []).append(br)
+    # Basis strings are numbered, so any register width works; -1 marks a
+    # basis of s1 that s2 lacks.
+    ids: dict[str, int] = {}
+    b2 = np.array([ids.setdefault(b.basis, len(ids)) for b in s2.branches], dtype=np.int64)
+    b1 = np.array([ids.get(b.basis, -1) for b in s1.branches], dtype=np.int64)
+    a1 = np.array([b.alpha for b in s1.branches], dtype=complex)
+    c1 = np.array([b.coeff for b in s1.branches], dtype=complex)
+    a2 = np.array([b.alpha for b in s2.branches], dtype=complex)
+    c2 = np.array([b.coeff for b in s2.branches], dtype=complex)
+    order = np.argsort(b2, kind="stable")
+    b2, a2, c2 = b2[order], a2[order], c2[order]
+    # Branch r of s1 pairs with branches lo[r] .. lo[r] + counts[r] - 1 of s2.
+    lo = np.searchsorted(b2, b1, side="left")
+    counts = np.searchsorted(b2, b1, side="right") - lo
+    ends = np.cumsum(counts)
+    a1c, c1c = np.conj(a1), np.conj(c1)
+    w1, w2 = -0.5 * np.abs(a1) ** 2, -0.5 * np.abs(a2) ** 2
     total = 0j
-    for b1 in s1.branches:
-        for b2 in by_basis.get(b1.basis, ()):
-            total += np.conj(b1.coeff) * b2.coeff * coherent_overlap(b1.alpha, b2.alpha)
+    start = 0
+    while start < len(b1):
+        done = ends[start - 1] if start else 0  # pairs of the earlier blocks
+        stop = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), start + 1)
+        k = counts[start:stop]
+        offset = ends[start:stop] - k - done  # index of each row's first pair in the block
+        i = np.repeat(np.arange(start, stop), k)
+        j = np.arange(ends[stop - 1] - done) + np.repeat(lo[start:stop] - offset, k)
+        # exp(w1 + w2 + conj(a1) a2) conj(c1) c2, in place to keep the block small.
+        z = a1c[i]
+        z *= a2[j]
+        z += w1[i]
+        z += w2[j]
+        np.exp(z, out=z)
+        z *= c1c[i]
+        z *= c2[j]
+        total += z.sum()
+        start = stop
     return complex(total)
 
 
@@ -177,7 +215,18 @@ def norm(s: HybridState) -> float:
 
 
 def merge_branches(s: HybridState, tol: float = MERGE_TOL) -> HybridState:
-    """Sum branches with equal basis and alpha within tol; drop null branches."""
+    """Sum branches with equal basis and alpha within tol; drop null branches.
+
+    Bases keep their order of first appearance.  Within a basis the terms
+    are sorted by (Re alpha, Im alpha); each term joins the first cluster
+    whose alpha (that of its first term) lies within tol, or else starts a
+    new cluster.  Clusters are created in sorted order, so only the trailing
+    ones whose Re alpha is within tol of the term's can match, and the scan
+    walks back from the last cluster until Re alpha falls below that.  This
+    sorted-neighbour merge meets one cluster per term unless real parts tie
+    within tol, O(B log B) in the branch count B, and gives the clusters of
+    a scan over all of them.
+    """
     groups: dict[str, list[BranchTerm]] = {}
     for br in s.branches:
         groups.setdefault(br.basis, []).append(br)
@@ -185,12 +234,17 @@ def merge_branches(s: HybridState, tol: float = MERGE_TOL) -> HybridState:
     for basis, terms in groups.items():
         clusters: list[BranchTerm] = []
         for t in sorted(terms, key=lambda b: (b.alpha.real, b.alpha.imag)):
-            for c in clusters:
-                if abs(t.alpha - c.alpha) <= tol:
-                    c.coeff += t.coeff
+            a = t.alpha
+            match = None
+            for c in reversed(clusters):
+                if c.alpha.real < a.real - tol:
                     break
+                if abs(a - c.alpha) <= tol:
+                    match = c  # keep walking: the first cluster within tol wins
+            if match is None:
+                clusters.append(BranchTerm(basis, a, t.coeff))
             else:
-                clusters.append(BranchTerm(basis, t.alpha, t.coeff))
+                match.coeff += t.coeff
         out.extend(c for c in clusters if abs(c.coeff) > COEFF_DROP_TOL)
     return HybridState(s.num_qubits, out)
 

@@ -52,6 +52,12 @@ class UnresolvedPeaksError(Exception):
     """The outcome distribution has no two peaks separated beyond one bin."""
 
 
+def _check_tau(tau: float) -> None:
+    # Written so that NaN fails the check too.
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError("tau must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ExactSuperposition:
     """Oracle-prepared (|ground> + |first excited>)/sqrt(2) of the sector."""
@@ -80,8 +86,8 @@ class PEAConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("need at least one ancilla")
-        if self.tau is not None and not (np.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("tau must be positive and finite")
+        if self.tau is not None:
+            _check_tau(self.tau)
         if self.trotter_substeps < 1:
             raise ValueError("need at least one substep")
 
@@ -368,6 +374,7 @@ def substeps_for_target(model: BCSModel, tau: float, k: int, order: int = 2,
                         fraction: float = 0.25, max_substeps: int = 256) -> int:
     """Smallest power-of-two substep count keeping the product-formula error
     below fraction * (energy resolution) over the full controlled evolution."""
+    _check_tau(tau)
     target = fraction * 2.0 * np.pi / (2**k * tau)
     exact = exact_evolution(model, (2**k) * tau)
     s = 1

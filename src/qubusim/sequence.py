@@ -57,13 +57,13 @@ class EntangledBusWarning(RuntimeWarning):
     """A local unitary was applied to a qubit currently entangled with the bus."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Displace:
     qubit: int
     beta: complex
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Local:
     qubit: int
     u: np.ndarray
@@ -73,7 +73,7 @@ class Local:
         object.__setattr__(self, "u", _check_unitary(self.u))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Barrier:
     label: str = ""
 
@@ -320,6 +320,8 @@ def sequence_from_json(doc: dict) -> GateSequence:
             u = np.array(
                 [[complex(*item["u"][r][c]) for c in range(2)] for r in range(2)]
             )
+            if not np.all(np.isfinite(u)):
+                raise ValueError("local gate entries must be finite")
             instructions.append(Local(int(item["q"]), u, item.get("label", "")))
         elif op == "barrier":
             instructions.append(Barrier(item.get("label", "")))

@@ -1,6 +1,7 @@
 """Command-line workflows: exit codes, round trips, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -111,9 +112,15 @@ def test_verify_non_finite_sequence_exits_3(model3_file, tmp_path, capsys, field
         doc["counts"]["local"] += 1
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(doc))
-    assert main(["verify", "--model", model3_file, "--sequence", str(bad)]) == 3
-    lines = capsys.readouterr().out.splitlines()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--model", model3_file, "--sequence", str(bad)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("FAIL")
+    # The file is rejected before any arithmetic runs on the bad entry.
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err
 
 
 def test_gap_exact_and_pea(model_file, capsys):

@@ -186,6 +186,18 @@ def test_make_controlled_counts():
     assert count_ops(make_controlled(CouplingMatrix(3, v), 0, "y"))["total"] == 50
 
 
+@pytest.mark.parametrize("axis", ["w", "X", ""])
+def test_make_controlled_rejects_unknown_axis(axis, monkeypatch):
+    import qubusim.builders as builders
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled before the axis was checked")
+
+    monkeypatch.setattr(builders, "_cycle", no_compile)
+    with pytest.raises(ValueError, match="axis"):
+        make_controlled(CouplingMatrix(2, np.array([[0.0, 0.5], [0.5, 0.0]])), 0, axis)
+
+
 def test_make_controlled_is_exact_block_unitary():
     rng = np.random.default_rng(79)
     for n in (2, 3):

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from qubusim.hybrid import (
+    _PAIR_BLOCK,
+    COEFF_DROP_TOL,
+    MERGE_TOL,
+    BranchTerm,
     EntangledBusError,
+    HybridState,
     apply_displacement,
     apply_local,
     coherent_overlap,
@@ -22,7 +27,7 @@ from qubusim.hybrid import (
 )
 from qubusim.sequence import Displace, Local
 
-from oracles import H2
+from oracles import H2, haar_unitary_2
 
 
 def test_init_state_basics():
@@ -219,3 +224,171 @@ def test_debug_json_roundtrip_fields():
     assert doc["num_qubits"] == 2
     assert doc["branches"][0]["basis"] == "10"
     assert doc["branches"][0]["alpha"] == [-0.25, -0.5]
+
+
+# ---------------------------------------------------------------------------
+# inner_product and merge_branches against the plain loops they replace
+# ---------------------------------------------------------------------------
+
+def _inner_product_double_loop(s1, s2):
+    total = 0j
+    for b1 in s1.branches:
+        for b2 in s2.branches:
+            if b1.basis == b2.basis:
+                total += np.conj(b1.coeff) * b2.coeff * coherent_overlap(b1.alpha, b2.alpha)
+    return total
+
+
+def _merge_all_clusters(s, tol=MERGE_TOL):
+    """merge_branches as a scan of every cluster of the basis for each term."""
+    groups = {}
+    for br in s.branches:
+        groups.setdefault(br.basis, []).append(br)
+    out = []
+    for basis, terms in groups.items():
+        clusters = []
+        for t in sorted(terms, key=lambda b: (b.alpha.real, b.alpha.imag)):
+            for c in clusters:
+                if abs(t.alpha - c.alpha) <= tol:
+                    c.coeff += t.coeff
+                    break
+            else:
+                clusters.append(BranchTerm(basis, t.alpha, t.coeff))
+        out.extend(c for c in clusters if abs(c.coeff) > COEFF_DROP_TOL)
+    return HybridState(s.num_qubits, out)
+
+
+def _split(s, qubit, u):
+    """The branches apply_local produces before it merges them."""
+    out = []
+    for br in s.branches:
+        for new_bit in (0, 1):
+            basis = br.basis[:qubit] + str(new_bit) + br.basis[qubit + 1:]
+            out.append(BranchTerm(basis, br.alpha, br.coeff * u[new_bit, int(br.basis[qubit])]))
+    return HybridState(s.num_qubits, out)
+
+
+def _criterion10_run(rng, n, n_ops):
+    """States along a random sequence drawn as in acceptance criterion 10,
+    plus the unmerged split of every local gate."""
+    s = init_state(n, "".join(rng.choice(["0", "1"]) for _ in range(n)))
+    states, splits = [], []
+    for _ in range(n_ops):
+        qb = int(rng.integers(n))
+        if rng.random() < 0.6:
+            s = apply_displacement(s, qb, rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        else:
+            u = haar_unitary_2(rng)
+            splits.append(_split(s, qb, u))
+            s = apply_local(s, qb, u)
+        states.append(s)
+    return states, splits
+
+
+def _random_state(rng, n, bases, count, scale=1.0):
+    branches = [BranchTerm(str(rng.choice(bases)), complex(*rng.normal(size=2)) * scale,
+                           complex(*rng.normal(size=2)) / math.sqrt(count))
+                for _ in range(count)]
+    return HybridState(n, branches)
+
+
+def _same_branches(got, want, coeff_tol):
+    assert [(b.basis, b.alpha) for b in got.branches] == [(b.basis, b.alpha) for b in want.branches]
+    for g, w in zip(got.branches, want.branches):
+        assert abs(g.coeff - w.coeff) <= coeff_tol
+
+
+def test_inner_product_matches_double_loop_on_entangled_states():
+    rng = np.random.default_rng(1010)
+    finals = {1: [], 2: [], 3: []}
+    for trial in range(18):
+        n = 1 + trial % 3
+        states, _ = _criterion10_run(rng, n, int(rng.integers(10, 25)))
+        finals[n].append(states[-1])
+        for s in states[::6] + states[-1:]:
+            assert abs(inner_product(s, s) - _inner_product_double_loop(s, s)) <= 1e-12
+    for group in finals.values():
+        for s1, s2 in zip(group, group[1:] + group[:1]):
+            assert abs(inner_product(s1, s2) - _inner_product_double_loop(s1, s2)) <= 1e-12
+            assert abs(inner_product(s2, s1) - _inner_product_double_loop(s2, s1)) <= 1e-12
+
+
+def test_inner_product_basis_in_one_state_only():
+    rng = np.random.default_rng(31)
+    s1 = _random_state(rng, 2, ["00", "01"], 6)
+    s2 = _random_state(rng, 2, ["10", "11"], 6)
+    assert inner_product(s1, s2) == 0
+    assert inner_product(s2, s1) == 0
+    s3 = _random_state(rng, 2, ["01", "11"], 9)
+    for a, b in ((s1, s3), (s3, s1), (s2, s3), (s3, s2)):
+        assert abs(inner_product(a, b) - _inner_product_double_loop(a, b)) <= 1e-12
+
+
+def test_inner_product_of_empty_state():
+    empty = HybridState(2, [])
+    s = apply_local(init_state(2, "01"), 1, H2)
+    assert inner_product(empty, empty) == 0
+    assert inner_product(empty, s) == 0
+    assert inner_product(s, empty) == 0
+    assert norm(empty) == 0.0
+
+
+def test_inner_product_over_several_pair_blocks():
+    rng = np.random.default_rng(37)
+    # One basis with 3x more equal-basis pairs than a block holds, plus a
+    # second basis; the blocks then split the rows of s1.
+    m = 2 * int(math.isqrt(_PAIR_BLOCK))
+    big = _random_state(rng, 2, ["10"], m, scale=0.5)
+    big.branches += _random_state(rng, 2, ["01"], m // 4, scale=0.5).branches
+    rng.shuffle(big.branches)
+    other = _random_state(rng, 2, ["10", "01", "11"], m, scale=0.5)
+    for s1, s2 in ((big, big), (big, other), (other, big)):
+        assert abs(inner_product(s1, s2) - _inner_product_double_loop(s1, s2)) <= 1e-12
+    # Branches of s1 whose run in s2 is longer than a block, alone and
+    # followed by shorter ones.
+    row = _random_state(rng, 1, ["1"], 1)
+    rows = HybridState(1, row.branches + _random_state(rng, 1, ["0", "1"], 4).branches)
+    long_run = _random_state(rng, 1, ["0", "1"], 2 * _PAIR_BLOCK + 3, scale=0.5)
+    for s1, s2 in ((row, long_run), (long_run, row), (rows, long_run)):
+        assert abs(inner_product(s1, s2) - _inner_product_double_loop(s1, s2)) <= 1e-12
+
+
+def _near_tie_states():
+    """Branch lists whose alphas tie within MERGE_TOL out of (Re, Im) order:
+    a third alpha sorts between two that merge."""
+    tol = MERGE_TOL
+    yield HybridState(1, [BranchTerm("0", complex(0.2, 0.1), 1.0),
+                          BranchTerm("0", complex(0.2 + 0.3 * tol, 5.0), 0.5j),
+                          BranchTerm("0", complex(0.2 + 0.6 * tol, 0.1), -0.25)])
+    # Momentum-only amplitudes whose real parts are rounding noise.
+    rng = np.random.default_rng(41)
+    branches = []
+    for k in range(40):
+        im = 0.1 * (k % 10)
+        branches.append(BranchTerm(format(k % 4, "02b"), complex(rng.choice([-1e-17, 0.0, 1e-17]), im),
+                                   complex(*rng.normal(size=2))))
+    yield HybridState(2, branches)
+
+
+def test_merge_branches_matches_all_clusters_scan():
+    rng = np.random.default_rng(1011)
+    inputs = list(_near_tie_states())
+    for trial in range(30):
+        _, splits = _criterion10_run(rng, 1 + trial % 3, int(rng.integers(5, 26)))
+        inputs += splits
+    for s in inputs:
+        before = [(b.basis, b.alpha, b.coeff) for b in s.branches]
+        got = merge_branches(s)
+        _same_branches(got, _merge_all_clusters(s), 1e-14)
+        assert [(b.basis, b.alpha, b.coeff) for b in s.branches] == before
+
+
+def test_merge_branches_is_idempotent():
+    rng = np.random.default_rng(1013)
+    inputs = list(_near_tie_states())
+    for trial in range(30):
+        states, splits = _criterion10_run(rng, 1 + trial % 3, int(rng.integers(5, 26)))
+        inputs += splits + states[-1:]
+    for s in inputs:
+        once = merge_branches(s)
+        _same_branches(merge_branches(once), once, 0.0)

@@ -1,5 +1,7 @@
 """Phase estimation: kernel shape, peaks, gap extraction, audit path."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,14 @@ def test_auto_tau_validation_and_override():
 def test_config_rejects_non_finite_or_non_positive_tau(tau):
     with pytest.raises(ValueError):
         PEAConfig(k=3, tau=tau)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf"), 0.0, -0.5])
+def test_substeps_for_target_rejects_non_finite_or_non_positive_tau(tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            substeps_for_target(pairing_model(), tau, 4)
 
 
 def test_shots_sampling_deterministic():

@@ -125,6 +125,26 @@ def test_adiabatic_single_full_strength_step():
     assert np.max(np.abs(u1 - u2)) < 1e-12
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_tau_rejected_up_front(tau):
+    model = random_model(2, np.random.default_rng(169))
+    with pytest.raises(ValueError, match="tau must be finite"):
+        build_trotter_step(model, tau)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        build_trotter_step(model, tau, controlled=0)
+    with pytest.raises(ValueError, match="tau must be finite"):
+        build_adiabatic_init(model, 3, tau)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.1])
+def test_non_positive_tau_keeps_its_message(tau):
+    model = random_model(2, np.random.default_rng(173))
+    with pytest.raises(ValueError, match="tau must be positive"):
+        build_trotter_step(model, tau)
+    with pytest.raises(ValueError, match="tau must be positive"):
+        build_adiabatic_init(model, 3, tau)
+
+
 def test_adiabatic_ops_per_step_metadata():
     rng = np.random.default_rng(167)
     model = random_model(3, rng)
