@@ -36,7 +36,13 @@ print("\neffective unitary (diagonal, exp(i pi/4 ZZ) pattern):")
 print(np.diag(q.effective_unitary(seq, 2)))
 
 print("\nclosed form from the composition rule (no simulation):")
-effect = q.diagonal_fast_path(seq.instructions, 2)
-for bits, phase in effect.phase_per_basis.items():
-    print(f"  |{bits}>: phase {phase:+.4f}, residual bus amplitude "
-          f"{effect.residual_alpha_per_basis[bits]:+.2f}")
+# D(a) D(b) = exp((a conj(b) - conj(a) b)/2) D(a + b): each step adds
+# Im(step * conj(alpha)) to the phase, where step = s_q * beta.
+signs = q.hybrid.z_signs(2)
+for b, bits in enumerate(("00", "01", "10", "11")):
+    alpha, phase = 0j, 0.0
+    for ins in seq.instructions:
+        step = signs[b, ins.qubit] * ins.beta
+        phase += (step * np.conj(alpha)).imag
+        alpha += step
+    print(f"  |{bits}>: phase {phase:+.4f}, residual bus amplitude {alpha:+.2f}")

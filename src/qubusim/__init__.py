@@ -62,12 +62,10 @@ from .builders import (
 )
 from .hybrid import (
     BranchTerm,
-    DiagonalEffect,
     EntangledBusError,
     HybridState,
     apply_displacement,
     apply_local,
-    diagonal_fast_path,
     extract_qubit_vector,
     init_state,
     inner_product,

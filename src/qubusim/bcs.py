@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hybrid import z_signs
+
 __all__ = [
     "CouplingMatrix",
     "BCSModel",
@@ -38,10 +40,6 @@ __all__ = [
     "save_model",
     "load_model",
 ]
-
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 DENSE_LIMIT = 14
 
@@ -112,32 +110,29 @@ class SpectrumResult:
     basis_indices: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
 
-def _kron_chain(ops: list[np.ndarray]) -> np.ndarray:
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
-
-
-def _embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    return _kron_chain([op if q == qubit else np.eye(2) for q in range(n)])
-
-
 def hamiltonian_matrix(m: BCSModel) -> np.ndarray:
-    """Dense 2^N x 2^N Hamiltonian assembled from Pauli terms."""
+    """Dense 2^N x 2^N Hamiltonian assembled from the register's sign table.
+
+    Z_q is diagonal with entries s[:, q], and a coupled pair acts on a basis
+    state as (X_a X_b + r Y_a Y_b)|x> = (1 - r s_a s_b)|x with bits a, b flipped>.
+    """
     n = m.n_modes
     if n > DENSE_LIMIT:
         raise ValueError(f"dense Hamiltonian limited to {DENSE_LIMIT} qubits")
-    h = np.zeros((2**n, 2**n), dtype=complex)
+    s = z_signs(n)
+    idx = np.arange(2**n)
+    diag = np.zeros(2**n)
     for q in range(n):
-        h += 0.5 * m.eps[q] * _embed(_SZ, q, n)
+        diag += 0.5 * m.eps[q] * s[:, q]
+    h = np.zeros((2**n, 2**n), dtype=complex)
+    h[idx, idx] = diag
     for a in range(n):
         for b in range(a + 1, n):
             if m.v.v[a, b] == 0.0:
                 continue
-            xx = _embed(_SX, a, n) @ _embed(_SX, b, n)
-            yy = _embed(_SY, a, n) @ _embed(_SY, b, n)
-            h += 0.5 * m.v.v[a, b] * (xx + m.r * yy)
+            flipped = idx ^ (1 << (n - 1 - a)) ^ (1 << (n - 1 - b))
+            # += onto the zeros: a vanishing term (r = 1) then stays +0.0
+            h[flipped, idx] += 0.5 * m.v.v[a, b] * (1.0 - m.r * s[:, a] * s[:, b])
     return h
 
 

@@ -1,20 +1,22 @@
 """Command-line front end: compile, verify, gap, pea, count.
 
-Exit codes: 0 success, 2 infeasible strategy, 3 verification mismatch,
-4 unresolved peaks.  All sampling flows from --seed; identical invocations
-produce byte-identical output files.
+Exit codes: 0 success, 2 infeasible strategy or command-line usage error,
+3 verification mismatch, 4 unresolved peaks.  All sampling flows from
+--seed; identical invocations produce byte-identical output files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .bcs import energy_gap, exact_spectrum, load_model, spectrum_to_csv
 from .builders import STRATEGY_NAMES, InfeasibleStrategyError, build_uzz, strategy_from_name
+from .hybrid import EntangledBusError, z_signs
 from .pea import (PEAConfig, UnresolvedPeaksError, estimate_gap, resolve_tau, result_to_json,
                   run_pea, substeps_for_target)
 from .resources import ResourceReport, ReportRow, crossover_n, max_n_for_budget, verify_counts
@@ -34,15 +36,25 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _positive(kind, below: float = math.inf):
+    """argparse type: a number of the given kind in (0, below)."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < below:
+            raise argparse.ArgumentTypeError(f"must lie in (0, {below:g}), got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" message reads it
+    return parse
+
+
 def _diagonal_target(v: np.ndarray) -> np.ndarray:
+    """exp(i sum_{m<l} V[m,l]/2 Z_m Z_l), the target of a compiled coupling."""
     n = v.shape[0]
-    idx = np.arange(2**n)
+    s = z_signs(n)
     phases = np.zeros(2**n)
     for m in range(n):
         for l in range(m + 1, n):
-            sm = 1 - 2 * ((idx >> (n - 1 - m)) & 1)
-            sl = 1 - 2 * ((idx >> (n - 1 - l)) & 1)
-            phases = phases + v[m, l] / 2.0 * sm * sl
+            phases = phases + v[m, l] / 2.0 * s[:, m] * s[:, l]
     return np.diag(np.exp(1j * phases))
 
 
@@ -72,13 +84,14 @@ def cmd_compile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .hybrid import EntangledBusError
-
     model = load_model(args.model)
     try:
         seq = load_sequence(args.sequence)
     except ValueError as exc:
         print(f"FAIL: invalid sequence ({exc})")
+        return EXIT_VERIFY_FAILED
+    if seq.num_qubits != model.n_modes:
+        print(f"FAIL: sequence acts on {seq.num_qubits} qubits, model has {model.n_modes} modes")
         return EXIT_VERIFY_FAILED
     target = _diagonal_target(model.v.v)
     try:
@@ -127,7 +140,7 @@ def cmd_gap(args) -> int:
 def cmd_pea(args) -> int:
     model = load_model(args.model)
     cfg = PEAConfig(k=args.k, tau=args.tau, trotter_order=args.order,
-                    trotter_substeps=args.substeps or 1,
+                    trotter_substeps=args.substeps,
                     shots=args.shots, seed=args.seed)
     res = run_pea(model, cfg)
     _write(json.dumps(result_to_json(res), sort_keys=True, indent=1) + "\n", args.out)
@@ -140,7 +153,7 @@ def cmd_count(args) -> int:
     else:
         report = ResourceReport()
     report.rows.append(ReportRow("crossover", n=crossover_n()))
-    delta = args.delta if args.delta is not None else 2 * np.pi / 2**10
+    delta = args.delta
     budget = args.budget
     report.rows.append(ReportRow(
         "maxN_nn", n=max_n_for_budget("nn", budget, delta), delta=delta))
@@ -178,11 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gap", help="energy gap, exactly and/or by phase estimation")
     g.add_argument("--model", required=True)
     g.add_argument("--method", default="both", choices=["exact", "pea", "both"])
-    g.add_argument("--k", type=int, default=6)
-    g.add_argument("--tau", type=float, default=None)
+    g.add_argument("--k", type=_positive(int), default=6)
+    g.add_argument("--tau", type=_positive(float), default=None)
     g.add_argument("--order", type=int, default=2, choices=[1, 2])
-    g.add_argument("--substeps", type=int, default=None)
-    g.add_argument("--shots", type=int, default=None)
+    g.add_argument("--substeps", type=_positive(int), default=None)
+    g.add_argument("--shots", type=_positive(int), default=None)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--spectrum-out", default=None,
                    help="also write the sector spectrum as index,eigenvalue CSV")
@@ -191,19 +204,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pea", help="full phase-estimation run, JSON result")
     p.add_argument("--model", required=True)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--k", type=_positive(int), default=4)
+    p.add_argument("--tau", type=_positive(float), default=None)
     p.add_argument("--order", type=int, default=2, choices=[1, 2])
-    p.add_argument("--substeps", type=int, default=None)
-    p.add_argument("--shots", type=int, default=None)
+    p.add_argument("--substeps", type=_positive(int), default=1)
+    p.add_argument("--shots", type=_positive(int), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_pea)
 
     n = sub.add_parser("count", help="resource tables: formulas vs compiled counts")
     n.add_argument("--verify-counts", action="store_true")
-    n.add_argument("--budget", type=float, default=6e6)
-    n.add_argument("--delta", type=float, default=None)
+    n.add_argument("--budget", type=_positive(float), default=6e6)
+    n.add_argument("--delta", type=_positive(float, below=1.0), default=2 * np.pi / 2**10)
     n.add_argument("--seed", type=int, default=None)
     n.add_argument("--format", default="csv", choices=["csv", "json"])
     n.add_argument("--out", default=None)

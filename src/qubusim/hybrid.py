@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "BranchTerm",
     "HybridState",
-    "DiagonalEffect",
     "EntangledBusError",
     "init_state",
     "state_from_vector",
@@ -44,6 +43,7 @@ __all__ = [
     "merge_branches",
     "coherent_overlap",
     "to_debug_json",
+    "z_signs",
 ]
 
 MERGE_TOL = 1e-12        # alpha equality tolerance when merging branches
@@ -109,8 +109,14 @@ def coherent_overlap(a: complex, b: complex) -> complex:
     return np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b)
 
 
-def _sign(basis: str, qubit: int) -> int:
-    return 1 if basis[qubit] == "0" else -1
+def z_signs(n: int) -> np.ndarray:
+    """Sign table of the register, shape (2^n, n).
+
+    s[b, q] is the sigma_z eigenvalue of qubit q on basis index b: +1.0 for
+    bit 0 and -1.0 for bit 1, with qubit 0 the most significant bit.
+    """
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return 1.0 - 2.0 * bits
 
 
 def apply_displacement(s: HybridState, qubit: int, beta: complex) -> HybridState:
@@ -126,7 +132,7 @@ def apply_displacement(s: HybridState, qubit: int, beta: complex) -> HybridState
         raise ValueError("displacement amplitude must be finite")
     out = []
     for br in s.branches:
-        d = _sign(br.basis, qubit) * beta
+        d = (1 if br.basis[qubit] == "0" else -1) * beta
         phase = np.exp(1j * (d * np.conj(br.alpha)).imag)
         out.append(BranchTerm(br.basis, br.alpha + d, br.coeff * phase))
     return HybridState(s.num_qubits, out)
@@ -293,53 +299,6 @@ def qubit_amplitudes(s: HybridState, tol: float = DISENTANGLE_TOL) -> np.ndarray
     for br in s.branches:
         vec[int(br.basis, 2)] += br.coeff
     return vec
-
-
-@dataclass
-class DiagonalEffect:
-    """Closed-form effect of a displacement-only sequence.
-
-    phase_per_basis[b] is the accumulated phase (radians) on basis string b;
-    residual_alpha_per_basis[b] is the bus amplitude left behind.
-    """
-
-    phase_per_basis: dict[str, float]
-    residual_alpha_per_basis: dict[str, complex]
-
-
-def diagonal_fast_path(instructions, n: int) -> DiagonalEffect:
-    """Compose displacement-only instructions analytically for all 2^n bases.
-
-    Two displacements compose as D(a)D(b) = exp((a conj(b) - conj(a) b)/2)
-    D(a+b), so the phase on a basis with signs s_j is
-    sum over ordered pairs j<k of Im(beta_k s_k conj(beta_j s_j)) and the
-    residual amplitude is sum_j s_j beta_j.
-    """
-    from .sequence import Displace  # local import to avoid a module cycle
-
-    betas = []
-    qubits = []
-    for ins in instructions:
-        if not isinstance(ins, Displace):
-            raise ValueError("diagonal_fast_path accepts displacement instructions only")
-        betas.append(complex(ins.beta))
-        qubits.append(ins.qubit)
-
-    dim = 2**n
-    idx = np.arange(dim)
-    phases = np.zeros(dim)
-    residual = np.zeros(dim, dtype=complex)
-    for beta, q in zip(betas, qubits):
-        signs = 1.0 - 2.0 * ((idx >> (n - 1 - q)) & 1)
-        step = signs * beta
-        phases += (step * np.conj(residual)).imag
-        residual += step
-
-    keys = [format(i, f"0{n}b") for i in range(dim)]
-    return DiagonalEffect(
-        phase_per_basis={k: float(p) for k, p in zip(keys, phases)},
-        residual_alpha_per_basis={k: complex(r) for k, r in zip(keys, residual)},
-    )
 
 
 def to_debug_json(s: HybridState) -> dict:

@@ -26,8 +26,7 @@ from .builders import (
     build_qft,
     build_trotter_step,
 )
-from .hybrid import qubit_amplitudes, state_from_vector
-from .sequence import Barrier, Displace, GateSequence, Local, count_ops, effective_unitary, execute
+from .sequence import Barrier, Displace, GateSequence, Local, count_ops, effective_unitary
 
 __all__ = [
     "ExactSuperposition",
@@ -79,7 +78,6 @@ class PEAConfig:
     shots: int | None = None
     init: ExactSuperposition | AdiabaticSequence = field(default_factory=ExactSuperposition)
     exact_controlled: bool = False    # replace compiled steps by exp(-iH tau)
-    full_bus_simulation: bool = False # audit: run everything on the branch simulator
     strategy: Strategy = field(default_factory=Carryover)
     seed: int | None = None
 
@@ -262,15 +260,16 @@ def run_pea(model: BCSModel, cfg: PEAConfig,
             input_state: np.ndarray | None = None) -> PEAResult:
     """Simulate the full register and return the exact outcome distribution.
 
-    By default the compiled controlled steps are verified once and then
-    applied as matrices; cfg.full_bus_simulation instead folds every
-    instruction through the coherent-state branch simulator (slow, for
-    audits).  Shot sampling is seeded and optional.
+    The controlled step, compiled and verified once (or exp(-iH tau) when
+    cfg.exact_controlled is set), is applied as matrix powers to the
+    ancilla+system vector, followed by the inverse QFT.  build_pea gives the
+    same circuit as layered bus sequences, for audits on the branch
+    simulator.  input_state, normalized here, replaces the configured
+    system preparation.  Shot sampling is seeded and optional.
     """
     n = model.n_modes
     k = cfg.k
-    circuit = build_pea(model, cfg) if cfg.full_bus_simulation else None
-    tau = circuit.tau if circuit is not None else resolve_tau(model, cfg)
+    tau = resolve_tau(model, cfg)
     total = n + k
 
     psi_sys = np.asarray(input_state, dtype=complex) if input_state is not None \
@@ -279,26 +278,16 @@ def run_pea(model: BCSModel, cfg: PEAConfig,
         raise ValueError("system state has the wrong dimension")
     psi_sys = psi_sys / np.linalg.norm(psi_sys)
 
-    if cfg.full_bus_simulation:
-        psi0 = np.zeros(2**total, dtype=complex)
-        psi0 = psi0.reshape(2**k, 2**n)
-        psi0[0, :] = psi_sys
-        state = state_from_vector(psi0.reshape(-1), total)
-        for layer in circuit.layers:
-            for _ in range(layer.reps):
-                state = execute(layer.seq, state)
-        psi = qubit_amplitudes(state)
-    else:
-        m = _controlled_step_matrix(model, cfg, tau)
-        anc = np.full(2**k, 2.0 ** (-k / 2), dtype=complex)
-        psi = np.kron(anc, psi_sys)
-        sys_axes = list(range(k, total))
-        for p in range(k):
-            reps = cfg.trotter_substeps * 2 ** (k - 1 - p)
-            m_pow = np.linalg.matrix_power(m, reps)
-            psi = _apply_on_qubits(psi, m_pow, [p] + sys_axes, total)
-        qft = effective_unitary(build_qft(k, QftMode(measurement_ready=True, forward=False)), k)
-        psi = _apply_on_qubits(psi, qft, list(range(k)), total)
+    m = _controlled_step_matrix(model, cfg, tau)
+    anc = np.full(2**k, 2.0 ** (-k / 2), dtype=complex)
+    psi = np.kron(anc, psi_sys)
+    sys_axes = list(range(k, total))
+    for p in range(k):
+        reps = cfg.trotter_substeps * 2 ** (k - 1 - p)
+        m_pow = np.linalg.matrix_power(m, reps)
+        psi = _apply_on_qubits(psi, m_pow, [p] + sys_axes, total)
+    qft = effective_unitary(build_qft(k, QftMode(measurement_ready=True, forward=False)), k)
+    psi = _apply_on_qubits(psi, qft, list(range(k)), total)
 
     probs = np.sum(np.abs(psi.reshape(2**k, 2**n)) ** 2, axis=1)
     probs = probs / probs.sum()

@@ -33,6 +33,7 @@ from .hybrid import (
     init_state,
     merge_branches,
     qubit_amplitudes,
+    z_signs,
 )
 
 __all__ = [
@@ -197,7 +198,7 @@ def _fold_columns(seq: GateSequence, n: int) -> tuple[np.ndarray, np.ndarray] | 
     below COEFF_DROP_TOL are zeroed, as merge_branches drops them.
     """
     dim = 2**n
-    rows = np.arange(dim)
+    signs = z_signs(n)
     c = np.eye(dim, dtype=complex)
     a = np.zeros((dim, dim), dtype=complex)
     run_alpha = np.zeros(dim, dtype=complex)  # net displacement of the pending run
@@ -208,16 +209,16 @@ def _fold_columns(seq: GateSequence, n: int) -> tuple[np.ndarray, np.ndarray] | 
             continue
         if not 0 <= ins.qubit < n:
             raise IndexError(f"qubit {ins.qubit} out of range for {n} qubits")
-        shift = n - 1 - ins.qubit
         if isinstance(ins, Displace):
             beta = complex(ins.beta)
             if not np.isfinite(beta.real) or not np.isfinite(beta.imag):
                 raise ValueError("displacement amplitude must be finite")
-            d = (1.0 - 2.0 * ((rows >> shift) & 1)) * beta
+            d = signs[:, ins.qubit] * beta
             run_phase += (d * run_alpha.conj()).imag
             run_alpha += d
             continue
         _apply_run(c, a, run_alpha, run_phase)
+        shift = n - 1 - ins.qubit
         # rows grouped as (higher bits, bit of the qubit, lower bits and column)
         c3 = c.reshape(dim >> (shift + 1), 2, -1)
         a3 = a.reshape(c3.shape)

@@ -18,7 +18,7 @@ from qubusim.bcs import (
     sector_indices,
 )
 
-from oracles import embed, random_dense_coupling, SZ
+from oracles import embed, random_dense_coupling, SX, SY, SZ
 
 
 def two_mode_model(eps=1.0, v=0.5, r=1.0):
@@ -37,6 +37,27 @@ def test_two_mode_spectrum_by_hand():
     m = two_mode_model(eps=1.3, v=0.4)
     w = exact_spectrum(m).eigenvalues
     assert np.allclose(np.sort(w), np.sort([1.3, -1.3, 0.4, -0.4]), atol=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 1.7])
+def test_hamiltonian_matches_pauli_sum_oracle(r):
+    # H written out term by term as the Pauli sum of the module docstring,
+    # with every pair (a, b) where a + b is a multiple of 3 uncoupled
+    rng = np.random.default_rng(193)
+    for n in range(1, 7):
+        v = random_dense_coupling(n, rng)
+        for a in range(n):
+            for b in range(a + 1, n):
+                if (a + b) % 3 == 0:
+                    v[a, b] = v[b, a] = 0.0
+        eps = rng.normal(size=n)
+        want = sum(eps[q] / 2 * embed(SZ, q, n) for q in range(n))
+        for a in range(n):
+            for b in range(a + 1, n):
+                want = want + v[a, b] / 2 * (embed(SX, a, n) @ embed(SX, b, n)
+                                             + r * embed(SY, a, n) @ embed(SY, b, n))
+        h = hamiltonian_matrix(BCSModel(n, 0, eps, CouplingMatrix(n, v), r=r))
+        assert np.max(np.abs(h - want)) <= 1e-12
 
 
 def test_hermiticity_random_models():

@@ -123,6 +123,41 @@ def test_verify_non_finite_sequence_exits_3(model3_file, tmp_path, capsys, field
     assert "RuntimeWarning" not in captured.err
 
 
+def test_verify_register_size_mismatch_exits_3(model_file, model3_file, tmp_path, capsys):
+    out = str(tmp_path / "seq3.json")
+    main(["compile", "--model", model3_file, "--strategy", "carryover", "--out", out])
+    capsys.readouterr()
+    assert main(["verify", "--model", model_file, "--sequence", out]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap", "--substeps", "0"],
+    ["gap", "--substeps", "-1"],
+    ["gap", "--k", "0"],
+    ["gap", "--tau", "0"],
+    ["gap", "--tau", "nan"],
+    ["gap", "--shots", "-1"],
+    ["pea", "--substeps", "0"],
+    ["pea", "--k", "0"],
+    ["pea", "--tau", "inf"],
+    ["count", "--budget", "0"],
+    ["count", "--budget", "inf"],
+    ["count", "--delta", "2"],
+    ["count", "--delta", "0"],
+    ["gap", "--k", "two"],
+], ids=" ".join)
+def test_non_positive_numeric_arguments_are_usage_errors(argv, model_file, capsys):
+    if argv[0] != "count":
+        argv = argv + ["--model", model_file]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {argv[1]}" in err
+
+
 def test_gap_exact_and_pea(model_file, capsys):
     assert main(["gap", "--model", model_file, "--method", "both", "--k", "6"]) == 0
     out = capsys.readouterr().out

@@ -312,13 +312,15 @@ def test_partial_cphase_leaves_bus_entangled():
 
 
 def test_cphase_fast_path_closed_form():
-    from qubusim.hybrid import diagonal_fast_path
-
+    # the closed loop through the branch simulator on every basis input:
+    # one branch, the bus back at the origin and the phase theta s0 s1
     theta = 0.61
     seq = build_cphase(0, 1, theta)
-    eff = diagonal_fast_path(seq.instructions, 2)
-    for bits, phase in eff.phase_per_basis.items():
+    for bits in ("00", "01", "10", "11"):
+        out = execute(seq, init_state(2, bits))
+        assert len(out.branches) == 1
+        br = out.branches[0]
         s0 = 1 if bits[0] == "0" else -1
         s1 = 1 if bits[1] == "0" else -1
-        assert abs(np.exp(1j * phase) - np.exp(1j * theta * s0 * s1)) < 1e-12
-        assert abs(eff.residual_alpha_per_basis[bits]) < 1e-12
+        assert abs(br.coeff - np.exp(1j * theta * s0 * s1)) < 1e-12
+        assert abs(br.alpha) < 1e-12

@@ -17,6 +17,8 @@ from qubusim.pea import (
     run_pea,
     substeps_for_target,
 )
+from qubusim.hybrid import qubit_amplitudes, state_from_vector
+from qubusim.sequence import execute
 
 
 def pairing_model(v=0.5, eps=1.0):
@@ -160,13 +162,27 @@ def test_trotterized_gap_shift_bounded_by_trotter_error():
 
 
 def test_full_bus_simulation_matches_matrix_path():
+    # Reference: every instruction of build_pea's layers folded through the
+    # coherent-state branch simulator, from the same system state.
     model = pairing_model()
-    fast = run_pea(model, PEAConfig(k=3, trotter_substeps=1))
-    slow = run_pea(model, PEAConfig(k=3, trotter_substeps=1, full_bus_simulation=True))
-    keys = set(fast.distribution) | set(slow.distribution)
-    for b in keys:
-        assert fast.distribution.get(b, 0.0) == pytest.approx(
-            slow.distribution.get(b, 0.0), abs=1e-10)
+    cfg = PEAConfig(k=3, trotter_substeps=1)
+    spec = exact_spectrum(model, model.n_excitations)
+    psi_sys = np.zeros(4, dtype=complex)
+    psi_sys[spec.basis_indices] = (spec.eigenvectors[:, 0] + spec.eigenvectors[:, 1]) / np.sqrt(2)
+    fast = run_pea(model, cfg, input_state=psi_sys)
+
+    circuit = build_pea(model, cfg)
+    psi0 = np.zeros((2**cfg.k, 4), dtype=complex)
+    psi0[0] = psi_sys
+    state = state_from_vector(psi0.reshape(-1), circuit.num_qubits)
+    for layer in circuit.layers:
+        for _ in range(layer.reps):
+            state = execute(layer.seq, state)
+    probs = np.sum(np.abs(qubit_amplitudes(state).reshape(2**cfg.k, 4)) ** 2, axis=1)
+    slow = {format(y, f"0{cfg.k}b")[::-1]: p for y, p in enumerate(probs / probs.sum())}
+
+    for b in set(fast.distribution) | set(slow):
+        assert fast.distribution.get(b, 0.0) == pytest.approx(slow.get(b, 0.0), abs=1e-10)
 
 
 def test_probabilities_sum_to_one():

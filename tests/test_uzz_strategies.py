@@ -226,9 +226,7 @@ def test_beta_bound_rebalances_large_couplings():
 
 
 def test_fast_path_agrees_with_compiled_schedules():
-    # two independent package paths: closed-form composition vs the target
-    from qubusim.hybrid import diagonal_fast_path
-
+    # the branch simulator on every basis input vs the target by sign enumeration
     rng = np.random.default_rng(271)
     n = 4
     v = random_dense_coupling(n, rng)
@@ -241,9 +239,8 @@ def test_fast_path_agrees_with_compiled_schedules():
             want = want + v[m, l] / 2.0 * sm * sl
     for strategy in ALL_STRATEGIES:
         seq = build_uzz(CouplingMatrix(n, v), strategy)
-        eff = diagonal_fast_path(seq.instructions, n)
         for i in range(2**n):
-            bits = format(i, f"0{n}b")
-            assert abs(np.exp(1j * eff.phase_per_basis[bits])
-                       - np.exp(1j * want[i])) < 1e-10
-            assert abs(eff.residual_alpha_per_basis[bits]) < 1e-10
+            out = execute(seq, init_state(n, format(i, f"0{n}b")))
+            assert len(out.branches) == 1
+            assert abs(out.branches[0].coeff - np.exp(1j * want[i])) < 1e-10
+            assert abs(out.branches[0].alpha) < 1e-10
