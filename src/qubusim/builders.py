@@ -675,7 +675,9 @@ def build_trotter_step(model: BCSModel, tau: float, order: int = 2,
     U0(tau/2) Uxx(tau/2) Uyy(tau) Uxx(tau/2) U0(tau/2), first order the plain
     product.  With `controlled` set to an ancilla index, the single-qubit
     factors go through make_controlled_locals and the coupling factors
-    through make_controlled, on a register one qubit wider.
+    through make_controlled, on a register one qubit wider.  A controlled
+    step always uses make_controlled's own schedule, so `strategy` shapes
+    uncontrolled steps only.
     coupling_scale multiplies the interaction part only (the adiabatic ramp).
     """
     if not math.isfinite(tau):

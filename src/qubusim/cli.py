@@ -1,7 +1,8 @@
 """Command-line front end: compile, verify, gap, pea, count.
 
-Exit codes: 0 success, 2 infeasible strategy or command-line usage error,
-3 verification mismatch, 4 unresolved peaks.  All sampling flows from
+Exit codes: 0 success, 2 infeasible strategy or command-line usage error
+(including inputs a command cannot run, reported in one line), 3
+verification mismatch, 4 unresolved peaks.  All sampling flows from
 --seed; identical invocations produce byte-identical output files.
 """
 
@@ -11,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .sequence import count_ops, effective_unitary, load_sequence, save_sequence
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
+EXIT_USAGE = 2
 EXIT_VERIFY_FAILED = 3
 EXIT_UNRESOLVED = 4
 
@@ -34,6 +37,12 @@ def _write(text: str, path: str | None) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _usage_error(command: str, exc: ValueError) -> int:
+    """Report an input the command cannot run in one line; exit code 2."""
+    print(f"qubusim {command}: error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _positive(kind, below: float = math.inf):
@@ -110,6 +119,21 @@ def cmd_verify(args) -> int:
 
 def cmd_gap(args) -> int:
     model = load_model(args.model)
+    want_pea = args.method in ("pea", "both")
+    if want_pea:
+        try:
+            cfg = PEAConfig(k=args.k, tau=args.tau, trotter_order=args.order,
+                            shots=args.shots, seed=args.seed)
+            tau = resolve_tau(model, cfg)
+        except ValueError as exc:
+            return _usage_error("gap", exc)
+        if args.substeps is not None:
+            cfg.trotter_substeps = args.substeps
+        else:
+            try:
+                cfg.trotter_substeps = substeps_for_target(model, tau, args.k, args.order)
+            except ValueError as exc:  # the product-formula error is not computable here
+                return _usage_error("gap", f"{exc}; give --substeps")
     sector = model.n_excitations if abs(model.r - 1.0) < 1e-12 else None
     exact = energy_gap(model, sector)
     if args.spectrum_out:
@@ -117,14 +141,7 @@ def cmd_gap(args) -> int:
             fh.write(spectrum_to_csv(exact_spectrum(model, sector)))
     lines = [f"exact gap: {exact!r}"]
     code = EXIT_OK
-    if args.method in ("pea", "both"):
-        cfg = PEAConfig(k=args.k, tau=args.tau, trotter_order=args.order,
-                        shots=args.shots, seed=args.seed)
-        if args.substeps is not None:
-            cfg.trotter_substeps = args.substeps
-        else:
-            tau = resolve_tau(model, cfg)
-            cfg.trotter_substeps = substeps_for_target(model, tau, args.k, args.order)
+    if want_pea:
         res = run_pea(model, cfg)
         try:
             gap = estimate_gap(res)
@@ -139,26 +156,32 @@ def cmd_gap(args) -> int:
 
 def cmd_pea(args) -> int:
     model = load_model(args.model)
-    cfg = PEAConfig(k=args.k, tau=args.tau, trotter_order=args.order,
-                    trotter_substeps=args.substeps,
-                    shots=args.shots, seed=args.seed)
+    try:
+        cfg = PEAConfig(k=args.k, tau=args.tau, trotter_order=args.order,
+                        trotter_substeps=args.substeps,
+                        shots=args.shots, seed=args.seed)
+        resolve_tau(model, cfg)
+    except ValueError as exc:
+        return _usage_error("pea", exc)
     res = run_pea(model, cfg)
     _write(json.dumps(result_to_json(res), sort_keys=True, indent=1) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_count(args) -> int:
+    delta = args.delta
+    try:
+        max_nn = max_n_for_budget("nn", args.budget, delta)
+        max_general = max_n_for_budget("general", args.budget, delta)
+    except ValueError as exc:
+        return _usage_error("count", exc)
     if args.verify_counts:
         report = verify_counts(seed=args.seed or 7)
     else:
         report = ResourceReport()
     report.rows.append(ReportRow("crossover", n=crossover_n()))
-    delta = args.delta
-    budget = args.budget
-    report.rows.append(ReportRow(
-        "maxN_nn", n=max_n_for_budget("nn", budget, delta), delta=delta))
-    report.rows.append(ReportRow(
-        "maxN_general", n=max_n_for_budget("general", budget, delta), delta=delta))
+    report.rows.append(ReportRow("maxN_nn", n=max_nn, delta=delta))
+    report.rows.append(ReportRow("maxN_general", n=max_general, delta=delta))
     text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
     _write(text, args.out)
     mismatches = report.mismatches()
@@ -225,8 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -24,6 +24,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,11 +140,24 @@ def apply_displacement(s: HybridState, qubit: int, beta: complex) -> HybridState
 
 
 def _check_unitary(u: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """u as a complex array, checked to be a 2x2 unitary within tol.
+
+    The test is max |u^dagger u - 1| <= tol over the entries, from the four
+    entries as Python scalars: the diagonal of u^dagger u holds the column
+    norms |a|^2 + |c|^2 and |b|^2 + |d|^2, the off-diagonal conj(a) b +
+    conj(c) d and its conjugate.
+    """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("local unitaries must be 2x2")
-    # Written so that NaN entries fail the check too.
-    if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= tol:
+    (a, b), (c, d) = u.tolist()
+    norm0 = (a.real * a.real + a.imag * a.imag) + (c.real * c.real + c.imag * c.imag)
+    norm1 = (b.real * b.real + b.imag * b.imag) + (d.real * d.real + d.imag * d.imag)
+    off = a.conjugate() * b + c.conjugate() * d
+    # Written so that NaN entries fail the check too.  Products and hypot
+    # overflow to inf, where abs() of a complex raises OverflowError.
+    if not (abs(norm0 - 1.0) <= tol and abs(norm1 - 1.0) <= tol
+            and math.hypot(off.real, off.imag) <= tol):
         raise ValueError("matrix is not unitary within 1e-12")
     return u
 

@@ -13,6 +13,7 @@ and the distance between the two dominant peaks estimates the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .builders import (
     build_qft,
     build_trotter_step,
 )
-from .sequence import Barrier, Displace, GateSequence, Local, count_ops, effective_unitary
+from .sequence import (MAX_QUBITS, Barrier, Displace, GateSequence, Local, count_ops,
+                       effective_unitary)
 
 __all__ = [
     "ExactSuperposition",
@@ -78,6 +80,8 @@ class PEAConfig:
     shots: int | None = None
     init: ExactSuperposition | AdiabaticSequence = field(default_factory=ExactSuperposition)
     exact_controlled: bool = False    # replace compiled steps by exp(-iH tau)
+    # Coupling schedule of the adiabatic preparation.  The controlled steps
+    # always compile through make_controlled, whatever strategy is set.
     strategy: Strategy = field(default_factory=Carryover)
     seed: int | None = None
 
@@ -88,6 +92,8 @@ class PEAConfig:
             _check_tau(self.tau)
         if self.trotter_substeps < 1:
             raise ValueError("need at least one substep")
+        if self.shots and self.seed is not None and self.seed < 0:
+            raise ValueError(f"shot sampling needs a non-negative seed, got {self.seed}")
 
 
 @dataclass
@@ -123,12 +129,18 @@ def resolve_tau(model: BCSModel, cfg: PEAConfig) -> float:
     """Evolution time of one controlled step U = exp(-iH tau).
 
     cfg.tau when given, else the largest tau that keeps every eigenphase of
-    U one bin inside (-pi, pi].  Diagonalizes H once.  Raises ValueError when
-    the register is too large to simulate or a given tau wraps the spectrum.
+    U one bin inside (-pi, pi].  Diagonalizes H once.  Raises ValueError,
+    before diagonalizing, when the register is too large to simulate: N + k
+    above SIM_LIMIT, or a controlled step (N + 1 qubits) or inverse QFT (k
+    qubits) larger than effective_unitary reconstructs.  Also raises
+    ValueError when a given tau wraps the spectrum.
     """
-    k = cfg.k
-    if model.n_modes + k > SIM_LIMIT:
-        raise ValueError(f"register too large to simulate ({model.n_modes + k} > {SIM_LIMIT})")
+    n, k = model.n_modes, cfg.k
+    if n + k > SIM_LIMIT:
+        raise ValueError(f"register too large to simulate ({n + k} > {SIM_LIMIT})")
+    for part, qubits in (("controlled step", n + 1), ("inverse QFT", k)):
+        if qubits > MAX_QUBITS:
+            raise ValueError(f"{part} too large to simulate ({qubits} > {MAX_QUBITS} qubits)")
     emax = float(np.max(np.abs(exact_spectrum(model).eigenvalues)))
     if cfg.tau is None:
         return 1.0 if emax == 0.0 else (1.0 - 2.0 ** (-k)) * np.pi / emax
@@ -247,6 +259,18 @@ def _controlled_step_matrix(model: BCSModel, cfg: PEAConfig, tau: float) -> np.n
     return m
 
 
+@cache
+def _inverse_qft_matrix(k: int) -> np.ndarray:
+    """Verified unitary of the inverse measurement-ready QFT on k qubits.
+
+    Built once per k (resolve_tau admits k <= MAX_QUBITS) and returned
+    read-only, since every caller shares the array.
+    """
+    u = effective_unitary(build_qft(k, QftMode(measurement_ready=True, forward=False)), k)
+    u.flags.writeable = False
+    return u
+
+
 def _bit_reverse(y: int, k: int) -> int:
     return int(format(y, f"0{k}b")[::-1], 2)
 
@@ -286,8 +310,7 @@ def run_pea(model: BCSModel, cfg: PEAConfig,
         reps = cfg.trotter_substeps * 2 ** (k - 1 - p)
         m_pow = np.linalg.matrix_power(m, reps)
         psi = _apply_on_qubits(psi, m_pow, [p] + sys_axes, total)
-    qft = effective_unitary(build_qft(k, QftMode(measurement_ready=True, forward=False)), k)
-    psi = _apply_on_qubits(psi, qft, list(range(k)), total)
+    psi = _apply_on_qubits(psi, _inverse_qft_matrix(k), list(range(k)), total)
 
     probs = np.sum(np.abs(psi.reshape(2**k, 2**n)) ** 2, axis=1)
     probs = probs / probs.sum()

@@ -12,10 +12,16 @@ effective_unitary reconstructs the compiled qubit unitary by folding all 2^n
 basis columns through the sequence as two arrays (branch amplitude and bus
 amplitude per basis state and column); it falls back to executing the
 columns one at a time when a local gate hits a qubit entangled with the bus.
+The bus-amplitude array stays at rest, unmaterialized, while every
+displacement run closes before the next local gate, as the compiled loops
+do (Sorensen and Molmer, PRA 62, 022311 (2000)): a run counts as closed when
+its net displacement is within the rounding bound of its own sum, and then
+costs one phase per basis state.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -52,6 +58,8 @@ __all__ = [
 ]
 
 SEQUENCE_FORMAT_VERSION = 1
+MAX_QUBITS = 10  # largest register effective_unitary reconstructs
+_EPS = float(np.finfo(float).eps)
 
 
 class EntangledBusWarning(RuntimeWarning):
@@ -160,7 +168,7 @@ def effective_unitary(seq: GateSequence, n: int | None = None, tol: float = 1e-9
 
     Requires the sequence to leave the bus disentangled on every basis input
     and to return it to the same amplitude for all of them, so the register
-    factors out with consistent relative phases.  Limited to n <= 10.
+    factors out with consistent relative phases.  Limited to n <= MAX_QUBITS.
     """
     if n is None:
         n = seq.num_qubits
@@ -168,8 +176,8 @@ def effective_unitary(seq: GateSequence, n: int | None = None, tol: float = 1e-9
         raise ValueError("n must equal the sequence register size")
     if n <= 0:
         raise ValueError(f"need a positive qubit count, got {n}")
-    if n > 10:
-        raise ValueError("effective_unitary supports at most 10 qubits")
+    if n > MAX_QUBITS:
+        raise ValueError(f"effective_unitary supports at most {MAX_QUBITS} qubits")
     folded = _fold_columns(seq, n)
     if folded is None:
         u, residuals = _execute_columns(seq, n, tol)
@@ -193,16 +201,24 @@ def _fold_columns(seq: GateSequence, n: int) -> tuple[np.ndarray, np.ndarray] | 
     Im(s_q(b) beta conj(A)) to C, as apply_displacement does.  A run of
     displacements composes as D(a) D(b) = exp((a conj(b) - conj(a) b)/2)
     D(a + b), so its pairwise phases depend on the row only and the run
-    touches C and A once.  A local gate mixes row b with row b ^ q; the pair
-    keeps the bus amplitude of its row in the support.  Amplitudes at or
-    below COEFF_DROP_TOL are zeroed, as merge_branches drops them.
+    touches C and A once (see _compose_run).  A local gate mixes row b with
+    row b ^ q; the pair keeps the bus amplitude of its row in the support.
+    Amplitudes at or below COEFF_DROP_TOL are zeroed, as merge_branches
+    drops them.
+
+    A stays at rest (None, zero on every row) while every run closes: a
+    closed run leaves only its row phases, a length-2^n vector that scales
+    the rows of C, and a local gate cannot meet an entangled qubit.  The
+    first run still open where a local gate or the sequence end applies it
+    materializes A, and from there every run updates C and A in full.  The
+    A returned is zero when it never left rest.
     """
     dim = 2**n
     signs = z_signs(n)
     c = np.eye(dim, dtype=complex)
-    a = np.zeros((dim, dim), dtype=complex)
-    run_alpha = np.zeros(dim, dtype=complex)  # net displacement of the pending run
-    run_phase = np.zeros(dim)                 # its pairwise phases
+    a = None
+    qubits: list[int] = []      # the pending displacement run
+    betas: list[complex] = []
 
     for ins in seq.instructions:
         if isinstance(ins, Barrier):
@@ -211,37 +227,73 @@ def _fold_columns(seq: GateSequence, n: int) -> tuple[np.ndarray, np.ndarray] | 
             raise IndexError(f"qubit {ins.qubit} out of range for {n} qubits")
         if isinstance(ins, Displace):
             beta = complex(ins.beta)
-            if not np.isfinite(beta.real) or not np.isfinite(beta.imag):
+            if not cmath.isfinite(beta):
                 raise ValueError("displacement amplitude must be finite")
-            d = signs[:, ins.qubit] * beta
-            run_phase += (d * run_alpha.conj()).imag
-            run_alpha += d
+            qubits.append(ins.qubit)
+            betas.append(beta)
             continue
-        _apply_run(c, a, run_alpha, run_phase)
+        a = _apply_run(c, a, signs, qubits, betas)
         shift = n - 1 - ins.qubit
         # rows grouped as (higher bits, bit of the qubit, lower bits and column)
         c3 = c.reshape(dim >> (shift + 1), 2, -1)
-        a3 = a.reshape(c3.shape)
-        in0 = np.abs(c3[:, 0]) > COEFF_DROP_TOL
-        in1 = np.abs(c3[:, 1]) > COEFF_DROP_TOL
-        if np.any(in0 & in1 & (np.abs(a3[:, 0] - a3[:, 1]) > MERGE_TOL)):
-            return None
-        a3[:] = np.where(in0, a3[:, 0], a3[:, 1])[:, None]
+        if a is not None:
+            a3 = a.reshape(c3.shape)
+            in0 = np.abs(c3[:, 0]) > COEFF_DROP_TOL
+            in1 = np.abs(c3[:, 1]) > COEFF_DROP_TOL
+            if np.any(in0 & in1 & (np.abs(a3[:, 0] - a3[:, 1]) > MERGE_TOL)):
+                return None
+            a3[:] = np.where(in0, a3[:, 0], a3[:, 1])[:, None]
         c = _check_unitary(ins.u) @ c3
         c[np.abs(c) <= COEFF_DROP_TOL] = 0
         c = c.reshape(dim, dim)
-    _apply_run(c, a, run_alpha, run_phase)
-    return c, a
+    a = _apply_run(c, a, signs, qubits, betas)
+    return c, np.zeros((dim, dim), dtype=complex) if a is None else a
 
 
-def _apply_run(c: np.ndarray, a: np.ndarray, run_alpha: np.ndarray, run_phase: np.ndarray) -> None:
-    """Apply a pending displacement run to C and A in place, then clear it."""
-    if not (run_alpha.any() or run_phase.any()):
-        return
-    c *= np.exp(1j * ((run_alpha[:, None] * a.conj()).imag + run_phase[:, None]))
-    a += run_alpha[:, None]
-    run_alpha[:] = 0
-    run_phase[:] = 0
+def _compose_run(signs: np.ndarray, qubits: list[int],
+                 betas: list[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """Net displacement and pairwise phase of a displacement run, per row.
+
+    Row b of the run moves the bus by d_i = s_q(b) beta_i in turn; the net
+    displacement is sum_i d_i and the phase sum_i Im(d_i conj(d_1 + ... +
+    d_{i-1})).  Both sums run left to right from zero, one displacement at
+    a time, as apply_displacement adds them.
+    """
+    dim, steps = signs.shape[0], len(betas)
+    d = np.zeros((dim, steps + 1), dtype=complex)
+    d[:, 1:] = signs[:, qubits] * np.array(betas)
+    prefix = np.cumsum(d, axis=1)  # prefix[:, i]: net displacement of the first i
+    terms = np.zeros((dim, steps + 1))
+    terms[:, 1:] = (d[:, 1:] * prefix[:, :-1].conj()).imag
+    return prefix[:, -1], np.cumsum(terms, axis=1)[:, -1]
+
+
+def _apply_run(c: np.ndarray, a: np.ndarray | None, signs: np.ndarray,
+               qubits: list[int], betas: list[complex]) -> np.ndarray | None:
+    """Apply the pending run to C in place, clear it and return the new A.
+
+    With A at rest (None) a run counts as closed when its net displacement
+    on every row lies within (L - 1) (eps / 2) sum |beta|, the rounding
+    bound of a sum of L displacements; it then only rotates the rows of C.
+    An open run, or any run once A is materialized, adds its displacement
+    to A and the phase Im(alpha conj(A)) to C.
+    """
+    if not betas:
+        return a
+    alpha, phase = _compose_run(signs, qubits, betas)
+    bound = (len(betas) - 1) * (_EPS / 2) * sum(abs(b) for b in betas)
+    qubits.clear()
+    betas.clear()
+    if a is None and np.max(np.abs(alpha)) <= bound:
+        if phase.any():
+            c *= np.exp(1j * phase)[:, None]
+        return None
+    if a is None:
+        a = np.zeros(c.shape, dtype=complex)
+    if alpha.any() or phase.any():
+        c *= np.exp(1j * ((alpha[:, None] * a.conj()).imag + phase[:, None]))
+        a += alpha[:, None]
+    return a
 
 
 def _folded_residuals(c: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Independent oracles used only by the tests.
 
 Nothing here goes through the package's branch simulator or builders: the
-Fock simulator works in a truncated number basis with matrix exponentials,
+Fock simulator works in a truncated number basis with exact matrix functions,
 and the matrix oracles assemble targets from explicit Pauli/Fourier
 definitions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -126,8 +127,15 @@ def fock_dim_for(alpha_max: float, tail: float = 1e-13, minimum: int = 24) -> in
         dim += 16
 
 
+@functools.cache
+def _displacement_generator_eigh(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of -i (adag - a) on the first dim number states."""
+    a = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    return np.linalg.eigh(-1j * (a.conj().T - a))
+
+
 class FockOracle:
-    """Joint qubit-register + truncated-Fock-bus state, evolved with expm.
+    """Joint qubit-register + truncated-Fock-bus state, evolved exactly.
 
     Controlled displacements act as exp(s (beta adag - conj(beta) a)) per
     sigma_z sector s = +-1; local unitaries act on the qubit tensor factor.
@@ -154,7 +162,18 @@ class FockOracle:
         return sim
 
     def displacement(self, beta: complex) -> np.ndarray:
-        return sla.expm(beta * self._adag - np.conj(beta) * self._a)
+        """exp(beta adag - conj(beta) a) on the truncated space.
+
+        With beta = r e^{i theta}, D(beta) = R D(r) R^dagger for the diagonal
+        R = exp(i theta adag a), and D(r) = exp(i r G) = V exp(i r w) V^dagger
+        from the eigendecomposition (w, V) of the Hermitian tridiagonal
+        G = -i (adag - a), cached per dimension.
+        """
+        w, v = _displacement_generator_eigh(self.dim)
+        r, theta = abs(beta), np.angle(beta)
+        rot = np.exp(1j * theta * np.arange(self.dim))
+        d_r = (v * np.exp(1j * r * w)) @ v.conj().T
+        return rot[:, None] * d_r * rot.conj()[None, :]
 
     def apply_displacement(self, qubit: int, beta: complex) -> None:
         d_plus = self.displacement(beta)

@@ -158,6 +158,58 @@ def test_non_positive_numeric_arguments_are_usage_errors(argv, model_file, capsy
     assert "usage:" in err and f"argument {argv[1]}" in err
 
 
+@pytest.fixture
+def model10_file(tmp_path):
+    path = tmp_path / "model10.json"
+    doc = {"N": 10, "n": 1, "eps": [1.0] * 10, "V": np.zeros((10, 10)).tolist(), "r": 1.0}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(argv, message, id=" ".join(argv)) for argv, message in [
+        (["gap", "--k", "11"], "register too large"),
+        (["pea", "--k", "11"], "register too large"),
+        (["gap", "--tau", "100"], "tau too large"),
+        (["pea", "--tau", "100"], "tau too large"),
+        (["gap", "--shots", "5", "--seed", "-1"], "non-negative seed"),
+        (["pea", "--shots", "5", "--seed", "-1"], "non-negative seed"),
+        (["count", "--budget", "1"], "budget below"),
+    ]
+])
+def test_inputs_that_cannot_run_exit_2_with_one_line(argv, message, model_file, tmp_path, capsys):
+    out = str(tmp_path / "out.txt")
+    if argv[0] != "count":
+        argv = argv + ["--model", model_file]
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"qubusim {argv[0]}: error:")
+    assert message in lines[0]
+    assert captured.out == ""
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_gap_controlled_step_beyond_simulator_exits_2(model10_file, capsys):
+    # N + k = 12 fits SIM_LIMIT; the 11-qubit controlled step does not.
+    assert main(["gap", "--model", model10_file, "--k", "2"]) == 2
+    assert "controlled step too large" in capsys.readouterr().err
+
+
+def test_gap_auto_substeps_beyond_trotter_error_exits_2(tmp_path, capsys):
+    # N = 9 fits the simulator with k = 3, but the automatic substep count
+    # needs trotter_error, which stops at 8 modes.
+    path = tmp_path / "model9.json"
+    path.write_text(json.dumps(
+        {"N": 9, "n": 1, "eps": [1.0] * 9, "V": np.zeros((9, 9)).tolist(), "r": 1.0}))
+    spectrum = tmp_path / "spectrum.csv"
+    assert main(["gap", "--model", str(path), "--k", "3",
+                 "--spectrum-out", str(spectrum)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "give --substeps" in lines[0]
+    assert not spectrum.exists()
+
+
 def test_gap_exact_and_pea(model_file, capsys):
     assert main(["gap", "--model", model_file, "--method", "both", "--k", "6"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,8 @@
-"""Branch simulation against the truncated-Fock matrix-exponential oracle."""
+"""Branch simulation against the truncated-Fock oracle."""
 
 import numpy as np
+import pytest
+import scipy.linalg as sla
 
 from qubusim.hybrid import apply_displacement, apply_local, init_state, norm
 from qubusim.sequence import Displace, Local
@@ -108,3 +110,15 @@ def test_fock_displacement_composition():
         sim.apply_displacement(0, a)
         target = coherent_vector(a + b, dim) * np.exp((a * np.conj(b) - np.conj(a) * b) / 2)
         assert np.max(np.abs(sim.state[0] - target)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [24, 56, 120])
+def test_fock_displacement_matches_expm(dim):
+    # The oracle's displacement comes from a cached eigendecomposition; it
+    # must equal the matrix exponential of the truncated generator.
+    sim = FockOracle(1, dim)
+    for r in (0.0, 0.3, 1.0, 1.5, 3.0):
+        for theta in np.linspace(-np.pi, np.pi, 7):
+            beta = r * np.exp(1j * theta)
+            ref = sla.expm(beta * sim._adag - np.conj(beta) * sim._a)
+            assert np.max(np.abs(sim.displacement(beta) - ref)) <= 1e-12

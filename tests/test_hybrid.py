@@ -1,6 +1,7 @@
 """Branch-simulator unit tests: state algebra, displacements, locals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from qubusim.hybrid import (
     _PAIR_BLOCK,
     COEFF_DROP_TOL,
+    _check_unitary,
     MERGE_TOL,
     BranchTerm,
     EntangledBusError,
@@ -115,6 +117,50 @@ def test_apply_local_rejects_non_unitary():
 def test_local_rejects_nan_matrix():
     with pytest.raises(ValueError):
         Local(0, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def _unitarity_defect(u):
+    """max |u^dagger u - 1|, the definition _check_unitary tests."""
+    return np.max(np.abs(u.conj().T @ u - np.eye(2)))
+
+
+def test_check_unitary_matches_numpy_definition():
+    rng = np.random.default_rng(43)
+    verdicts = set()
+    for _ in range(300):
+        u = haar_unitary_2(rng)
+        assert np.array_equal(_check_unitary(u), u)
+        size = 10.0 ** rng.uniform(-14, -11)
+        v = u + size * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        defect = _unitarity_defect(v)
+        if abs(defect - 1e-12) < 1e-14:
+            continue  # within rounding of the tolerance
+        accepted = defect <= 1e-12
+        verdicts.add(accepted)
+        if accepted:
+            _check_unitary(v)
+        else:
+            with pytest.raises(ValueError, match="not unitary"):
+                _check_unitary(v)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf),
+                                   complex(np.nan, 1.0), 1.5e308])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_check_unitary_rejects_non_finite_entries(entry, value):
+    u = H2.copy()
+    u[entry] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not unitary"):
+            _check_unitary(u)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2,), (4,), (3, 3), (2, 2, 1), (1, 2, 2)])
+def test_check_unitary_rejects_non_2x2_shapes(shape):
+    with pytest.raises(ValueError, match="2x2"):
+        _check_unitary(np.eye(4, dtype=complex).reshape(-1)[: math.prod(shape)].reshape(shape))
 
 
 def test_local_while_bus_entangled_preserves_norm():

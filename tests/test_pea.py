@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 
 from qubusim.bcs import BCSModel, CouplingMatrix, energy_gap, exact_spectrum
+from qubusim import pea
+from qubusim.builders import QftMode, build_qft
 from qubusim.pea import (
     AdiabaticSequence,
     PEAConfig,
     PEAResult,
     UnresolvedPeaksError,
     build_pea,
+    _inverse_qft_matrix,
     estimate_gap,
+    resolve_tau,
     result_to_json,
     run_pea,
     substeps_for_target,
 )
 from qubusim.hybrid import qubit_amplitudes, state_from_vector
-from qubusim.sequence import execute
+from qubusim.sequence import effective_unitary, execute
 
 
 def pairing_model(v=0.5, eps=1.0):
@@ -254,3 +258,42 @@ def test_register_size_guard():
     big = BCSModel(11, 1, np.ones(11), CouplingMatrix(11, np.zeros((11, 11))))
     with pytest.raises(ValueError):
         build_pea(big, PEAConfig(k=2))
+
+
+def test_parts_beyond_simulator_rejected_up_front(monkeypatch):
+    # N + k = 12 fits SIM_LIMIT, but the controlled step needs N + 1 = 11
+    # qubits, more than effective_unitary reconstructs.
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("diagonalized before the size check")
+
+    big = BCSModel(10, 1, np.ones(10), CouplingMatrix(10, np.zeros((10, 10))))
+    monkeypatch.setattr(pea, "exact_spectrum", no_spectrum)
+    with pytest.raises(ValueError, match="controlled step too large"):
+        resolve_tau(big, PEAConfig(k=2))
+    with pytest.raises(ValueError, match="controlled step too large"):
+        run_pea(big, PEAConfig(k=1, exact_controlled=True))
+    # N + k = 12 again, but the inverse QFT needs k = 11 qubits.
+    one = BCSModel(1, 0, np.ones(1), CouplingMatrix(1, np.zeros((1, 1))), r=0.5)
+    with pytest.raises(ValueError, match="inverse QFT too large"):
+        resolve_tau(one, PEAConfig(k=11))
+    monkeypatch.undo()
+    fits = BCSModel(9, 1, np.ones(9), CouplingMatrix(9, np.zeros((9, 9))))
+    assert resolve_tau(fits, PEAConfig(k=3)) > 0
+    assert resolve_tau(one, PEAConfig(k=10)) > 0
+
+
+def test_shots_with_negative_seed_rejected_at_config():
+    with pytest.raises(ValueError, match="non-negative seed"):
+        PEAConfig(k=3, shots=10, seed=-1)
+    assert PEAConfig(k=3, seed=-1).seed == -1  # no sampling, the seed is unused
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_inverse_qft_matrix_is_cached_and_read_only(k):
+    m = _inverse_qft_matrix(k)
+    assert m is _inverse_qft_matrix(k)
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 0.0
+    fresh = effective_unitary(build_qft(k, QftMode(measurement_ready=True, forward=False)), k)
+    assert np.array_equal(m, fresh)

@@ -31,6 +31,7 @@ from qubusim.sequence import (
     effective_unitary,
     execute,
     load_sequence,
+    _fold_columns,
     save_sequence,
     sequence_from_json,
     sequence_to_json,
@@ -194,5 +195,45 @@ def test_effective_unitary_entangled_local_warns_and_raises():
 def test_effective_unitary_rejects_non_finite_beta():
     seq = build_cphase(0, 1, 0.3)
     seq.instructions.insert(2, Displace(1, complex(np.nan, 0.0)))
+    with pytest.raises(ValueError, match="finite"):
+        effective_unitary(seq)
+
+
+def test_compiled_steps_keep_the_bus_at_rest():
+    # Every displacement loop of a compiled step closes before the next
+    # local gate, to rounding, so the fold never materializes the bus
+    # amplitude: A comes back exactly zero.
+    model = _model(4, 419)
+    for order in (1, 2):
+        for controlled in (None, 0):
+            seq = build_trotter_step(model, 0.4, order=order, controlled=controlled)
+            c, a = _fold_columns(seq, seq.num_qubits)
+            assert not a.any()
+            assert np.max(np.abs(c - columns_reference(seq))) <= 1e-12
+
+
+def test_run_open_above_rounding_bound_takes_the_exact_path(recwarn):
+    # The first loop misses closure by 1e-13 on qubit 0, far above the
+    # rounding bound of its sum, so A is materialized; the local gate on
+    # qubit 1 still folds (the bus does not depend on qubit 1), and the
+    # later loops run through the full update of C and A.
+    seq = build_cphase(0, 1, 0.3, 3)
+    seq.instructions[2] = Displace(0, seq.instructions[2].beta + 1e-13)
+    seq.instructions.append(Local(1, HADAMARD))
+    seq.extend(build_cphase(1, 2, 0.7, 3))
+    seq.instructions.append(Local(2, haar_unitary_2(np.random.default_rng(421))))
+    seq.extend(build_cphase(0, 2, 0.2, 3))
+    c, a = _fold_columns(seq, 3)
+    assert 0.5e-13 < np.max(np.abs(a)) < 2e-13
+    u = effective_unitary(seq)
+    assert np.max(np.abs(u - columns_reference(seq))) <= 1e-12
+    assert not [w for w in recwarn.list if issubclass(w.category, EntangledBusWarning)]
+
+
+def test_non_finite_beta_raises_before_a_later_bad_qubit():
+    seq = GateSequence(2, [Displace(0, complex(np.nan, 0.0)), Displace(1, 0.1)])
+    with pytest.raises(ValueError, match="finite"):
+        _fold_columns(seq, 1)
+    seq.instructions.append(Displace(5, 0.1))
     with pytest.raises(ValueError, match="finite"):
         effective_unitary(seq)

@@ -8,6 +8,8 @@ from qubusim.builders import (
     Carryover,
     FixedRange,
     Limited,
+    Naive,
+    Stepwise,
     adiabatic_steps,
     build_adiabatic_init,
     build_trotter_step,
@@ -87,6 +89,19 @@ def test_controlled_step_count_matches_evolution_formula():
         model = random_model(n, rng)
         step = build_trotter_step(model, 0.05, order=2, controlled=0)
         assert count_ops(step)["total"] == 6 * n * n + 64 * n - 40
+
+
+def test_controlled_step_count_independent_of_strategy():
+    # A controlled step always compiles through make_controlled; the
+    # strategy shapes the uncontrolled step only.
+    model = random_model(4, np.random.default_rng(157))
+    strategies = (Naive(), Stepwise(), Carryover())
+    controlled = {count_ops(build_trotter_step(model, 0.05, order=2, controlled=0,
+                                               strategy=s))["total"] for s in strategies}
+    assert controlled == {6 * 4 * 4 + 64 * 4 - 40}
+    plain = {count_ops(build_trotter_step(model, 0.05, order=2, strategy=s))["total"]
+             for s in strategies}
+    assert len(plain) == len(strategies)
 
 
 def test_controlled_step_blocks():
