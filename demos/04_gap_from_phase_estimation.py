@@ -10,7 +10,8 @@ phases and their distance over tau estimates the gap to one part in 2^k.
 import numpy as np
 
 import qubusim as q
-from qubusim.pea import AdiabaticSequence, ExactSuperposition, PEAConfig, substeps_for_target
+from qubusim.pea import (AdiabaticSequence, ExactSuperposition, PEAConfig, resolve_tau,
+                         substeps_for_target)
 
 v = np.zeros((2, 2))
 v[0, 1] = v[1, 0] = 0.5
@@ -19,8 +20,8 @@ print("exact single-excitation gap:", q.energy_gap(model, sector=1))
 
 k = 6
 cfg = PEAConfig(k=k, trotter_order=2, init=ExactSuperposition())
+cfg.trotter_substeps = substeps_for_target(model, resolve_tau(model, cfg), k, order=2)
 circ = q.build_pea(model, cfg)
-cfg.trotter_substeps = substeps_for_target(model, circ.tau, k, order=2)
 print(f"auto tau = {circ.tau:.4f}, substeps = {cfg.trotter_substeps}, "
       f"controlled-evolution operations = {circ.counts['controlled_evolution']}")
 

@@ -16,13 +16,13 @@ from functools import cache
 
 import numpy as np
 
-from .bcs import energy_gap, exact_spectrum, load_model, spectrum_to_csv
+from .bcs import BCSModel, SpectrumResult, exact_spectrum, load_model, spectrum_to_csv
 from .builders import STRATEGY_NAMES, InfeasibleStrategyError, build_uzz, strategy_from_name
 from .hybrid import EntangledBusError, z_signs
 from .pea import (PEAConfig, UnresolvedPeaksError, estimate_gap, resolve_tau, result_to_json,
                   run_pea, substeps_for_target)
 from .resources import ResourceReport, ReportRow, crossover_n, max_n_for_budget, verify_counts
-from .sequence import count_ops, effective_unitary, load_sequence, save_sequence
+from .sequence import MAX_QUBITS, count_ops, effective_unitary, load_sequence, save_sequence
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -39,7 +39,7 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _usage_error(command: str, exc: ValueError) -> int:
+def _usage_error(command: str, exc: ValueError | str) -> int:
     """Report an input the command cannot run in one line; exit code 2."""
     print(f"qubusim {command}: error: {exc}", file=sys.stderr)
     return EXIT_USAGE
@@ -54,6 +54,19 @@ def _positive(kind, below: float = math.inf):
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid int value" message reads it
     return parse
+
+
+def _gap_spectrum(model: BCSModel) -> SpectrumResult:
+    """The levels gap and pea read: the excitation sector when r = 1, else all.
+
+    Raises ValueError when there are fewer than two, so there is no gap.
+    """
+    sector = model.n_excitations if abs(model.r - 1.0) < 1e-12 else None
+    spec = exact_spectrum(model, sector)
+    if len(spec.eigenvalues) < 2:
+        raise ValueError(f"the {model.n_excitations}-excitation sector has one level; "
+                         "a gap needs two")
+    return spec
 
 
 def _diagonal_target(v: np.ndarray) -> np.ndarray:
@@ -102,6 +115,9 @@ def cmd_verify(args) -> int:
     if seq.num_qubits != model.n_modes:
         print(f"FAIL: sequence acts on {seq.num_qubits} qubits, model has {model.n_modes} modes")
         return EXIT_VERIFY_FAILED
+    if seq.num_qubits > MAX_QUBITS:
+        return _usage_error("verify", f"sequence acts on {seq.num_qubits} qubits, "
+                                      f"beyond the simulator's {MAX_QUBITS}")
     target = _diagonal_target(model.v.v)
     try:
         u = effective_unitary(seq, seq.num_qubits)
@@ -120,13 +136,15 @@ def cmd_verify(args) -> int:
 def cmd_gap(args) -> int:
     model = load_model(args.model)
     want_pea = args.method in ("pea", "both")
-    if want_pea:
-        try:
+    try:
+        if want_pea:
             cfg = PEAConfig(k=args.k, tau=args.tau, trotter_order=args.order,
                             shots=args.shots, seed=args.seed)
             tau = resolve_tau(model, cfg)
-        except ValueError as exc:
-            return _usage_error("gap", exc)
+        spec = _gap_spectrum(model)
+    except ValueError as exc:
+        return _usage_error("gap", exc)
+    if want_pea:
         if args.substeps is not None:
             cfg.trotter_substeps = args.substeps
         else:
@@ -134,11 +152,10 @@ def cmd_gap(args) -> int:
                 cfg.trotter_substeps = substeps_for_target(model, tau, args.k, args.order)
             except ValueError as exc:  # the product-formula error is not computable here
                 return _usage_error("gap", f"{exc}; give --substeps")
-    sector = model.n_excitations if abs(model.r - 1.0) < 1e-12 else None
-    exact = energy_gap(model, sector)
+    exact = float(spec.eigenvalues[1] - spec.eigenvalues[0])
     if args.spectrum_out:
         with open(args.spectrum_out, "w") as fh:
-            fh.write(spectrum_to_csv(exact_spectrum(model, sector)))
+            fh.write(spectrum_to_csv(spec))
     lines = [f"exact gap: {exact!r}"]
     code = EXIT_OK
     if want_pea:
@@ -161,6 +178,7 @@ def cmd_pea(args) -> int:
                         trotter_substeps=args.substeps,
                         shots=args.shots, seed=args.seed)
         resolve_tau(model, cfg)
+        _gap_spectrum(model)  # the initial state superposes its lowest two levels
     except ValueError as exc:
         return _usage_error("pea", exc)
     res = run_pea(model, cfg)

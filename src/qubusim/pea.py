@@ -1,6 +1,6 @@
 """Phase estimation pipeline: controlled evolution, inverse QFT, gap readout.
 
-The register holds k ancillas (positions 0..k-1, most significant first)
+The circuit holds k ancillas (positions 0..k-1, most significant first)
 followed by the N system qubits.  The ancilla at position p controls
 2^(k-1-p) copies of the compiled evolution step U = exp(-iH tau), an
 inverse measurement-ready Fourier transform runs on the ancillas, and the
@@ -8,6 +8,10 @@ measured index is classically bit-reversed.  An outcome y corresponds to
 the eigenphase 2 pi y / 2^k of U; with tau scaled so the spectrum of H tau
 fits in (-pi, pi], signed phases recover energies without wrap ambiguity
 and the distance between the two dominant peaks estimates the gap.
+
+run_pea simulates 2^k system vectors U^y |psi>, not the (N + k)-qubit
+register: the ancillas start uniform and each controlled power is diagonal
+in their basis (Cleve et al., Proc. R. Soc. A 454, 339 (1998)).
 """
 
 from __future__ import annotations
@@ -20,9 +24,7 @@ import numpy as np
 from .bcs import BCSModel, exact_evolution, exact_spectrum, trotter_error
 from .builders import (
     HADAMARD,
-    Carryover,
     QftMode,
-    Strategy,
     build_adiabatic_init,
     build_qft,
     build_trotter_step,
@@ -45,9 +47,6 @@ __all__ = [
     "substeps_for_target",
     "result_to_json",
 ]
-
-SIM_LIMIT = 12
-
 
 class UnresolvedPeaksError(Exception):
     """The outcome distribution has no two peaks separated beyond one bin."""
@@ -80,9 +79,6 @@ class PEAConfig:
     shots: int | None = None
     init: ExactSuperposition | AdiabaticSequence = field(default_factory=ExactSuperposition)
     exact_controlled: bool = False    # replace compiled steps by exp(-iH tau)
-    # Coupling schedule of the adiabatic preparation.  The controlled steps
-    # always compile through make_controlled, whatever strategy is set.
-    strategy: Strategy = field(default_factory=Carryover)
     seed: int | None = None
 
     def __post_init__(self):
@@ -130,14 +126,12 @@ def resolve_tau(model: BCSModel, cfg: PEAConfig) -> float:
 
     cfg.tau when given, else the largest tau that keeps every eigenphase of
     U one bin inside (-pi, pi].  Diagonalizes H once.  Raises ValueError,
-    before diagonalizing, when the register is too large to simulate: N + k
-    above SIM_LIMIT, or a controlled step (N + 1 qubits) or inverse QFT (k
-    qubits) larger than effective_unitary reconstructs.  Also raises
-    ValueError when a given tau wraps the spectrum.
+    before diagonalizing, when a controlled step (N + 1 qubits) or the
+    inverse QFT (k qubits) is larger than effective_unitary reconstructs
+    (MAX_QUBITS); run_pea needs nothing larger.  Also raises ValueError when
+    a given tau wraps the spectrum.
     """
     n, k = model.n_modes, cfg.k
-    if n + k > SIM_LIMIT:
-        raise ValueError(f"register too large to simulate ({n + k} > {SIM_LIMIT})")
     for part, qubits in (("controlled step", n + 1), ("inverse QFT", k)):
         if qubits > MAX_QUBITS:
             raise ValueError(f"{part} too large to simulate ({qubits} > {MAX_QUBITS} qubits)")
@@ -174,7 +168,7 @@ def build_pea(model: BCSModel, cfg: PEAConfig) -> PEACircuit:
         1,
     )]
     step = build_trotter_step(model, tau / cfg.trotter_substeps, order=cfg.trotter_order,
-                              controlled=0, strategy=cfg.strategy)
+                              controlled=0)
     for p in range(k):
         mapping = {0: p, **{1 + i: k + i for i in range(n)}}
         layers.append(PEALayer(
@@ -216,37 +210,22 @@ def _initial_system_state(model: BCSModel, cfg: PEAConfig) -> np.ndarray:
         bits[q] = "1"
     vec = np.zeros(2**n, dtype=complex)
     vec[int("".join(bits), 2)] = 1.0
-    prep = build_adiabatic_init(model, cfg.init.steps, cfg.init.tau_init,
-                                ramp=cfg.init.ramp, strategy=cfg.strategy)
+    prep = build_adiabatic_init(model, cfg.init.steps, cfg.init.tau_init, ramp=cfg.init.ramp)
     return effective_unitary(prep, n) @ vec
 
 
-def _apply_on_qubits(psi: np.ndarray, m: np.ndarray, qubits: list[int], n: int) -> np.ndarray:
-    """Apply an operator on a subset of qubits (first listed qubit = MSB)."""
-    t = psi.reshape([2] * n)
-    t = np.moveaxis(t, qubits, range(len(qubits)))
-    shape = t.shape
-    t = m @ t.reshape(2 ** len(qubits), -1)
-    t = t.reshape(shape)
-    t = np.moveaxis(t, range(len(qubits)), qubits)
-    return t.reshape(-1)
-
-
 def _controlled_step_matrix(model: BCSModel, cfg: PEAConfig, tau: float) -> np.ndarray:
-    """Effective unitary of one compiled controlled step, verified before use.
+    """Verified 2^N block that one controlled step applies when its ancilla is 1.
 
-    Verification checks the controlled block structure and unitarity of both
-    blocks at 1e-9; failure aborts the matrix substitution.
+    The whole (N + 1)-qubit step is folded; its block structure and the
+    unitarity of both blocks are checked at 1e-9, and failure aborts the
+    matrix substitution.  cfg.exact_controlled gives exp(-iH tau / substeps).
     """
     n = model.n_modes
     if cfg.exact_controlled:
-        u = exact_evolution(model, tau / cfg.trotter_substeps)
-        dim = 2**n
-        m = np.eye(2 * dim, dtype=complex)
-        m[dim:, dim:] = u
-        return m
+        return exact_evolution(model, tau / cfg.trotter_substeps)
     seq = build_trotter_step(model, tau / cfg.trotter_substeps, order=cfg.trotter_order,
-                             controlled=0, strategy=cfg.strategy)
+                             controlled=0)
     m = effective_unitary(seq, n + 1)
     dim = 2**n
     top_right = np.max(np.abs(m[:dim, dim:]))
@@ -256,7 +235,7 @@ def _controlled_step_matrix(model: BCSModel, cfg: PEAConfig, tau: float) -> np.n
     unit_dev = np.max(np.abs(sub.conj().T @ sub - np.eye(dim)))
     if max(top_right, bottom_left, ident_dev, unit_dev) > 1e-9:
         raise RuntimeError("controlled-step verification failed; substitution aborted")
-    return m
+    return sub
 
 
 @cache
@@ -282,19 +261,18 @@ def _signed_phase(y: int, k: int) -> float:
 
 def run_pea(model: BCSModel, cfg: PEAConfig,
             input_state: np.ndarray | None = None) -> PEAResult:
-    """Simulate the full register and return the exact outcome distribution.
+    """Return the exact outcome distribution of phase estimation.
 
-    The controlled step, compiled and verified once (or exp(-iH tau) when
-    cfg.exact_controlled is set), is applied as matrix powers to the
-    ancilla+system vector, followed by the inverse QFT.  build_pea gives the
-    same circuit as layered bus sequences, for audits on the branch
-    simulator.  input_state, normalized here, replaces the configured
-    system preparation.  Shot sampling is seeded and optional.
+    Row y of a (2^k, 2^N) array is u^y |psi>, with u the verified
+    controlled-step block raised to the substep count: the state before the
+    inverse QFT, up to normalization.  The inverse QFT is one product over
+    the row index; an outcome's probability is its row's squared norm.
+    build_pea gives the same circuit as layered bus sequences, for audits on
+    the branch simulator.  input_state, normalized here, replaces the
+    configured system preparation.  Shot sampling is seeded and optional.
     """
-    n = model.n_modes
-    k = cfg.k
+    n, k = model.n_modes, cfg.k
     tau = resolve_tau(model, cfg)
-    total = n + k
 
     psi_sys = np.asarray(input_state, dtype=complex) if input_state is not None \
         else _initial_system_state(model, cfg)
@@ -302,17 +280,14 @@ def run_pea(model: BCSModel, cfg: PEAConfig,
         raise ValueError("system state has the wrong dimension")
     psi_sys = psi_sys / np.linalg.norm(psi_sys)
 
-    m = _controlled_step_matrix(model, cfg, tau)
-    anc = np.full(2**k, 2.0 ** (-k / 2), dtype=complex)
-    psi = np.kron(anc, psi_sys)
-    sys_axes = list(range(k, total))
-    for p in range(k):
-        reps = cfg.trotter_substeps * 2 ** (k - 1 - p)
-        m_pow = np.linalg.matrix_power(m, reps)
-        psi = _apply_on_qubits(psi, m_pow, [p] + sys_axes, total)
-    psi = _apply_on_qubits(psi, _inverse_qft_matrix(k), list(range(k)), total)
+    u = np.linalg.matrix_power(_controlled_step_matrix(model, cfg, tau), cfg.trotter_substeps)
+    rows = np.empty((2**k, 2**n), dtype=complex)
+    rows[0] = psi_sys
+    for y in range(1, 2**k):
+        rows[y] = u @ rows[y - 1]
+    rows = _inverse_qft_matrix(k) @ rows
 
-    probs = np.sum(np.abs(psi.reshape(2**k, 2**n)) ** 2, axis=1)
+    probs = np.sum(np.abs(rows) ** 2, axis=1)
     probs = probs / probs.sum()
     distribution = {}
     for y_reg in range(2**k):

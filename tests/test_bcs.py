@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qubusim.bcs import (
     BCSModel,
@@ -168,6 +169,29 @@ def test_model_json_roundtrip():
     assert np.allclose(m2.eps, m.eps)
     assert np.allclose(m2.v.v, m.v.v)
     assert m2.r == pytest.approx(0.9)
+
+
+@st.composite
+def models(draw):
+    n = draw(st.integers(1, 8))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    eps = draw(st.lists(finite, min_size=n, max_size=n))
+    v = np.zeros((n, n))
+    v[np.triu_indices(n, 1)] = draw(st.lists(finite, min_size=n * (n - 1) // 2,
+                                             max_size=n * (n - 1) // 2))
+    return BCSModel(n, draw(st.integers(0, n)), np.array(eps), CouplingMatrix(n, v + v.T),
+                    r=draw(finite))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(m=models())
+def test_model_json_roundtrip_property(m):
+    doc = model_to_json(m)
+    m2 = model_from_json(json.loads(json.dumps(doc)))
+    assert (m2.n_modes, m2.n_excitations, m2.r) == (m.n_modes, m.n_excitations, m.r)
+    assert np.array_equal(m2.eps, m.eps)
+    assert np.array_equal(m2.v.v, m.v.v)
+    assert model_to_json(m2) == doc
 
 
 def test_coupling_matrix_validation():

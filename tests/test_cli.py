@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def test_verify_roundtrip_and_corruption(model3_file, tmp_path, capsys):
     assert main(["verify", "--model", model3_file, "--sequence", out]) == 0
     assert "PASS" in capsys.readouterr().out
 
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     for ins in doc["instructions"]:
         if ins["op"] == "disp":
             ins["beta"][0] += 0.1
@@ -102,7 +103,7 @@ def test_verify_non_finite_sequence_exits_3(model3_file, tmp_path, capsys, field
     out = str(tmp_path / "seq.json")
     main(["compile", "--model", model3_file, "--strategy", "carryover", "--out", out])
     capsys.readouterr()
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     if field == "beta":
         next(i for i in doc["instructions"] if i["op"] == "disp")["beta"][0] = float("nan")
     else:
@@ -168,8 +169,8 @@ def model10_file(tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     pytest.param(argv, message, id=" ".join(argv)) for argv, message in [
-        (["gap", "--k", "11"], "register too large"),
-        (["pea", "--k", "11"], "register too large"),
+        (["gap", "--k", "11"], "inverse QFT too large"),
+        (["pea", "--k", "11"], "inverse QFT too large"),
         (["gap", "--tau", "100"], "tau too large"),
         (["pea", "--tau", "100"], "tau too large"),
         (["gap", "--shots", "5", "--seed", "-1"], "non-negative seed"),
@@ -191,7 +192,7 @@ def test_inputs_that_cannot_run_exit_2_with_one_line(argv, message, model_file, 
 
 
 def test_gap_controlled_step_beyond_simulator_exits_2(model10_file, capsys):
-    # N + k = 12 fits SIM_LIMIT; the 11-qubit controlled step does not.
+    # The 11-qubit controlled step is beyond the simulator.
     assert main(["gap", "--model", model10_file, "--k", "2"]) == 2
     assert "controlled step too large" in capsys.readouterr().err
 
@@ -208,6 +209,43 @@ def test_gap_auto_substeps_beyond_trotter_error_exits_2(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "give --substeps" in lines[0]
     assert not spectrum.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap"], ["gap", "--method", "exact"], ["pea"],
+], ids=" ".join)
+def test_one_level_sector_exits_2_with_one_line(argv, tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"N": 1, "n": 0, "eps": [1.0], "V": [[0.0]], "r": 1.0}))
+    out, spectrum = tmp_path / "out.txt", tmp_path / "spectrum.csv"
+    argv = argv + ["--model", str(path), "--out", str(out)]
+    if argv[0] == "gap":
+        argv += ["--spectrum-out", str(spectrum)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"qubusim {argv[0]}: error:")
+    assert "one level" in lines[0]
+    assert captured.out == ""
+    assert not out.exists() and not spectrum.exists()
+
+
+def test_verify_beyond_simulator_exits_2(tmp_path, capsys):
+    n = 12
+    path = tmp_path / "model12.json"
+    path.write_text(json.dumps({"N": n, "n": n // 2, "eps": [1.0] * n,
+                                "V": random_dense_coupling(n, np.random.default_rng(12)).tolist(),
+                                "r": 1.0}))
+    seq = str(tmp_path / "seq12.json")
+    assert main(["compile", "--model", str(path), "--out", seq]) == 0
+    assert count_ops(load_sequence(seq))["bus"] == n * n - n + 2
+    capsys.readouterr()
+    assert main(["verify", "--model", str(path), "--sequence", seq]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qubusim verify: error:")
+    assert "12 qubits" in lines[0]
+    assert captured.out == ""
 
 
 def test_gap_exact_and_pea(model_file, capsys):
@@ -232,7 +270,7 @@ def test_pea_json_output(model_file, tmp_path):
     out = str(tmp_path / "res.json")
     assert main(["pea", "--model", model_file, "--k", "4", "--substeps", "1",
                  "--shots", "100", "--seed", "3", "--out", out]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["k"] == 4
     assert abs(sum(doc["distribution"].values()) - 1.0) < 1e-9
     assert sum(doc["counts"].values()) == 100
@@ -241,7 +279,7 @@ def test_pea_json_output(model_file, tmp_path):
 def test_count_tables_and_rows(tmp_path):
     out = str(tmp_path / "table.csv")
     assert main(["count", "--out", out]) == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     assert "crossover,5" in text
     maxn = [l for l in text.splitlines() if l.startswith("maxN_nn")][0]
     assert abs(int(maxn.split(",")[1]) - 72) <= 1
@@ -252,7 +290,7 @@ def test_count_tables_and_rows(tmp_path):
 def test_count_verify_mode_has_no_mismatches(tmp_path):
     out = str(tmp_path / "table.json")
     assert main(["count", "--verify-counts", "--format", "json", "--out", out]) == 0
-    rows = json.loads(open(out).read())
+    rows = json.loads(Path(out).read_text())
     for row in rows:
         if row["compiled"] is not None:
             assert row["compiled"] == row["formula"], row
@@ -269,7 +307,7 @@ def test_count_verify_mode_exits_3_on_mismatch(tmp_path, monkeypatch, capsys):
     out = str(tmp_path / "table.csv")
     assert main(["count", "--verify-counts", "--out", out]) == 3
     assert "1 count mismatches" in capsys.readouterr().err
-    assert "naive,3" in open(out).read()
+    assert "naive,3" in Path(out).read_text()
 
 
 def test_outputs_are_deterministic(model_file, tmp_path):
@@ -278,18 +316,18 @@ def test_outputs_are_deterministic(model_file, tmp_path):
             "--shots", "64", "--seed", "11"]
     assert main(args + ["--out", a]) == 0
     assert main(args + ["--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
     c, d = str(tmp_path / "c.csv"), str(tmp_path / "d.csv")
     assert main(["count", "--seed", "5", "--out", c]) == 0
     assert main(["count", "--seed", "5", "--out", d]) == 0
-    assert open(c, "rb").read() == open(d, "rb").read()
+    assert Path(c).read_bytes() == Path(d).read_bytes()
 
 
 def test_compile_roundtrip_counts_exact(model3_file, tmp_path):
     out = str(tmp_path / "seq.json")
     main(["compile", "--model", model3_file, "--strategy", "naive", "--out", out])
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     seq = load_sequence(out)
     counts = count_ops(seq)
     assert doc["counts"]["bus"] == counts["bus"]
@@ -300,6 +338,6 @@ def test_gap_spectrum_out(model_file, tmp_path):
     spec_path = str(tmp_path / "spectrum.csv")
     assert main(["gap", "--model", model_file, "--method", "exact",
                  "--spectrum-out", spec_path]) == 0
-    lines = open(spec_path).read().strip().splitlines()
+    lines = Path(spec_path).read_text().strip().splitlines()
     assert lines[0] == "index,eigenvalue"
     assert len(lines) == 3  # two single-excitation levels

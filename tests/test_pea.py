@@ -4,10 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qubusim.bcs import BCSModel, CouplingMatrix, energy_gap, exact_spectrum
+from qubusim.bcs import BCSModel, CouplingMatrix, energy_gap, exact_evolution, exact_spectrum
 from qubusim import pea
-from qubusim.builders import QftMode, build_qft
+from qubusim.builders import QftMode, build_qft, build_trotter_step
 from qubusim.pea import (
     AdiabaticSequence,
     PEAConfig,
@@ -254,6 +255,65 @@ def test_result_json_shape():
     assert all(len(b) == 3 for b in doc["distribution"])
 
 
+def register_path_distribution(model, cfg, psi_sys):
+    """Reference: the outcome distribution of the full (N + k)-qubit register.
+
+    The controlled step is the padded 2^(N+1) matrix; ancilla p applies its
+    power substeps * 2^(k-1-p) to the register vector, and the inverse QFT
+    acts on the ancilla axes, each operator moved onto its qubits' axes.
+    """
+    n, k, s = model.n_modes, cfg.k, cfg.trotter_substeps
+    total, dim = n + k, 2**n
+    tau = resolve_tau(model, cfg)
+    if cfg.exact_controlled:
+        m = np.eye(2 * dim, dtype=complex)
+        m[dim:, dim:] = exact_evolution(model, tau / s)
+    else:
+        step = build_trotter_step(model, tau / s, order=cfg.trotter_order, controlled=0)
+        m = effective_unitary(step, n + 1)
+
+    def apply(psi, op, qubits):
+        t = np.moveaxis(psi.reshape([2] * total), qubits, range(len(qubits)))
+        shape = t.shape
+        t = (op @ t.reshape(2 ** len(qubits), -1)).reshape(shape)
+        return np.moveaxis(t, range(len(qubits)), qubits).reshape(-1)
+
+    psi = np.kron(np.full(2**k, 2.0 ** (-k / 2)), psi_sys / np.linalg.norm(psi_sys))
+    for p in range(k):
+        psi = apply(psi, np.linalg.matrix_power(m, s * 2 ** (k - 1 - p)),
+                    [p] + list(range(k, total)))
+    qft = effective_unitary(build_qft(k, QftMode(measurement_ready=True, forward=False)), k)
+    psi = apply(psi, qft, list(range(k)))
+    probs = np.sum(np.abs(psi.reshape(2**k, dim)) ** 2, axis=1)
+    return {format(y, f"0{k}b")[::-1]: p for y, p in enumerate(probs / probs.sum())}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(1, 4), k=st.integers(1, 5), substeps=st.integers(1, 3),
+       order=st.sampled_from([1, 2]), exact=st.booleans(), r=st.sampled_from([1.0, 0.6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_pea_matches_register_path(n, k, substeps, order, exact, r, seed):
+    rng = np.random.default_rng(seed)
+    v = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+    model = BCSModel(n, n // 2, rng.uniform(0.5, 2.0, n), CouplingMatrix(n, v + v.T), r=r)
+    psi_sys = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    cfg = PEAConfig(k=k, trotter_order=order, trotter_substeps=substeps, exact_controlled=exact)
+    fast = run_pea(model, cfg, input_state=psi_sys).distribution
+    ref = register_path_distribution(model, cfg, psi_sys)
+    for b in set(fast) | set(ref):
+        assert abs(fast.get(b, 0.0) - ref.get(b, 0.0)) <= 1e-12
+
+
+def test_register_wider_than_twelve_qubits_runs():
+    # N + k = 13: only the controlled step (N + 1) and the inverse QFT (k)
+    # bound a run, never the ancilla+system register.
+    v = np.array([[0, .4, .5], [.4, 0, .6], [.5, .6, 0]])
+    model = BCSModel(3, 1, np.array([1.0, 1.2, 0.8]), CouplingMatrix(3, v), r=1.0)
+    res = run_pea(model, PEAConfig(k=10, exact_controlled=True))
+    assert sum(res.distribution.values()) == pytest.approx(1.0, abs=1e-9)
+    assert abs(res.gap_estimate - energy_gap(model, 1)) <= res.resolution_energy
+
+
 def test_register_size_guard():
     big = BCSModel(11, 1, np.ones(11), CouplingMatrix(11, np.zeros((11, 11))))
     with pytest.raises(ValueError):
@@ -261,8 +321,8 @@ def test_register_size_guard():
 
 
 def test_parts_beyond_simulator_rejected_up_front(monkeypatch):
-    # N + k = 12 fits SIM_LIMIT, but the controlled step needs N + 1 = 11
-    # qubits, more than effective_unitary reconstructs.
+    # The controlled step needs N + 1 = 11 qubits, more than
+    # effective_unitary reconstructs.
     def no_spectrum(*args, **kwargs):
         raise AssertionError("diagonalized before the size check")
 
@@ -272,7 +332,7 @@ def test_parts_beyond_simulator_rejected_up_front(monkeypatch):
         resolve_tau(big, PEAConfig(k=2))
     with pytest.raises(ValueError, match="controlled step too large"):
         run_pea(big, PEAConfig(k=1, exact_controlled=True))
-    # N + k = 12 again, but the inverse QFT needs k = 11 qubits.
+    # The inverse QFT needs k = 11 qubits.
     one = BCSModel(1, 0, np.ones(1), CouplingMatrix(1, np.zeros((1, 1))), r=0.5)
     with pytest.raises(ValueError, match="inverse QFT too large"):
         resolve_tau(one, PEAConfig(k=11))

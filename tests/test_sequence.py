@@ -1,7 +1,10 @@
 """IR mechanics: counting, execution diagnostics, JSON interchange."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qubusim.builders import (
     HADAMARD,
@@ -103,6 +106,38 @@ def test_json_roundtrip(tmp_path):
     u1 = effective_unitary(seq, 2)
     u2 = effective_unitary(loaded, 2)
     assert np.max(np.abs(u1 - u2)) < 1e-12
+
+
+@st.composite
+def sequences(draw):
+    n = draw(st.integers(1, 6))
+    qubit = st.integers(0, n - 1)
+    label = st.text(max_size=8)
+    unitary = st.integers(0, 2**32 - 1).map(lambda s: haar_unitary_2(np.random.default_rng(s)))
+    instructions = draw(st.lists(st.one_of(
+        st.builds(Displace, qubit, st.complex_numbers(allow_nan=False, allow_infinity=False)),
+        st.builds(Local, qubit, unitary, label),
+        st.builds(Barrier, label),
+    ), max_size=20))
+    return GateSequence(n, instructions, {"strategy": draw(label)})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(seq=sequences())
+def test_json_roundtrip_property(seq):
+    doc = sequence_to_json(seq)
+    loaded = sequence_from_json(json.loads(json.dumps(doc)))
+    assert loaded.num_qubits == seq.num_qubits
+    assert loaded.metadata["strategy"] == seq.metadata["strategy"]
+    assert len(loaded.instructions) == len(seq.instructions)
+    for a, b in zip(seq.instructions, loaded.instructions):
+        assert type(a) is type(b)
+        if isinstance(a, Local):
+            assert (a.qubit, a.label) == (b.qubit, b.label)
+            assert np.array_equal(a.u, b.u)
+        else:
+            assert a == b
+    assert sequence_to_json(loaded) == doc
 
 
 def test_json_field_shapes():
