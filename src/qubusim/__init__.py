@@ -59,6 +59,7 @@ from .builders import (
     make_controlled_locals,
     solve_carryover,
     strategy_from_name,
+    trotter_factors,
 )
 from .hybrid import (
     BranchTerm,
@@ -108,6 +109,7 @@ from .sequence import (
     effective_unitary,
     execute,
     load_sequence,
+    product_unitary,
     save_sequence,
     sequence_from_json,
     sequence_to_json,

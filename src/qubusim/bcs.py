@@ -175,20 +175,24 @@ def trotter_error(m: BCSModel, t: float, steps: int, order: int = 2, *,
                   exact: np.ndarray | None = None) -> float:
     """Spectral-norm distance between the compiled product formula and exp(-iHt).
 
-    The compiled step comes from the sequence builders and is reconstructed
-    with effective_unitary, so this measures the full pipeline, not just the
-    abstract splitting.  A caller comparing several step counts at one t may
-    pass exact = exact_evolution(m, t) to skip recomputing it.
+    Each distinct factor of the step comes from the sequence builders
+    (builders.trotter_factors) and is reconstructed with effective_unitary;
+    the step's unitary is their product (sequence.product_unitary), so this
+    measures the full pipeline, not just the abstract splitting.  A caller
+    comparing several step counts at one t may pass exact =
+    exact_evolution(m, t) to skip recomputing it.
     """
     if m.n_modes > 8:
         raise ValueError("trotter_error limited to 8 qubits")
     if steps < 1:
         raise ValueError("need at least one step")
-    from .builders import build_trotter_step
-    from .sequence import effective_unitary
+    dim = 2**m.n_modes
+    if exact is not None and np.shape(exact) != (dim, dim):
+        raise ValueError(f"exact must be a ({dim}, {dim}) matrix, got shape {np.shape(exact)}")
+    from .builders import trotter_factors
+    from .sequence import product_unitary
 
-    seq = build_trotter_step(m, t / steps, order=order)
-    u_step = effective_unitary(seq, m.n_modes)
+    u_step = product_unitary(trotter_factors(m, t / steps, order), m.n_modes)
     u = np.linalg.matrix_power(u_step, steps)
     if exact is None:
         exact = exact_evolution(m, t)

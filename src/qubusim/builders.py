@@ -53,6 +53,7 @@ __all__ = [
     "build_cnot",
     "make_controlled",
     "make_controlled_locals",
+    "trotter_factors",
     "build_trotter_step",
     "build_adiabatic_init",
     "adiabatic_steps",
@@ -664,19 +665,22 @@ def _evolution_factors(model: BCSModel, tau: float, order: int) -> list[tuple[st
     raise ValueError("order must be 1 or 2")
 
 
-def build_trotter_step(model: BCSModel, tau: float, order: int = 2,
-                       controlled: int | None = None,
-                       strategy: Strategy = Carryover(),
-                       coupling_scale: float = 1.0,
-                       beta_bound: float = DEFAULT_BETA_BOUND) -> GateSequence:
-    """One product-formula step for exp(-iH tau).
+def trotter_factors(model: BCSModel, tau: float, order: int = 2,
+                    controlled: int | None = None,
+                    strategy: Strategy = Carryover(),
+                    coupling_scale: float = 1.0,
+                    beta_bound: float = DEFAULT_BETA_BOUND) -> list[GateSequence]:
+    """Compiled factors of one product-formula step, in the order they apply.
 
     Second order uses the symmetric splitting
     U0(tau/2) Uxx(tau/2) Uyy(tau) Uxx(tau/2) U0(tau/2), first order the plain
-    product.  With `controlled` set to an ancilla index, the single-qubit
-    factors go through make_controlled_locals and the coupling factors
-    through make_controlled, on a register one qubit wider.  A controlled
-    step always uses make_controlled's own schedule, so `strategy` shapes
+    product.  Each distinct (kind, time) compiles once, and a factor that
+    repeats is the same object, so a caller can fold it once (see
+    sequence.product_unitary).  Every factor returns the bus to rest.
+    With `controlled` set to an ancilla index, the single-qubit factors go
+    through make_controlled_locals and the coupling factors through
+    make_controlled, on a register one qubit wider.  A controlled step
+    always uses make_controlled's own schedule, so `strategy` shapes
     uncontrolled steps only.
     coupling_scale multiplies the interaction part only (the adiabatic ramp).
     """
@@ -685,13 +689,11 @@ def build_trotter_step(model: BCSModel, tau: float, order: int = 2,
     if tau <= 0:
         raise ValueError("tau must be positive")
     n = model.n_modes
-    num_qubits = n if controlled is None else n + 1
 
     def factor_seq(kind: str, t: float) -> GateSequence:
         if kind == "u0":
             if controlled is None:
-                seq = build_u0(model.eps, -t, n)
-                return seq
+                return build_u0(model.eps, -t, n)
             us = [np.diag([np.exp(-0.5j * e * t), np.exp(0.5j * e * t)]) for e in model.eps]
             return make_controlled_locals(us, ancilla=controlled)
         scale = -t * coupling_scale * (model.r if kind == "yy" else 1.0)
@@ -701,9 +703,28 @@ def build_trotter_step(model: BCSModel, tau: float, order: int = 2,
             return conjugate_to_axis(build_uzz(coupling, strategy, beta_bound), axis)
         return make_controlled(coupling, ancilla=controlled, axis=axis, beta_bound=beta_bound)
 
-    seq = GateSequence(num_qubits, [], {"strategy": f"trotter-{order}"})
-    for kind, t in _evolution_factors(model, tau, order):
-        seq.extend(factor_seq(kind, t))
+    factors = _evolution_factors(model, tau, order)
+    compiled = {factor: factor_seq(*factor) for factor in dict.fromkeys(factors)}
+    return [compiled[factor] for factor in factors]
+
+
+def build_trotter_step(model: BCSModel, tau: float, order: int = 2,
+                       controlled: int | None = None,
+                       strategy: Strategy = Carryover(),
+                       coupling_scale: float = 1.0,
+                       beta_bound: float = DEFAULT_BETA_BOUND) -> GateSequence:
+    """One product-formula step for exp(-iH tau), as one sequence.
+
+    The concatenation of trotter_factors (same arguments): a repeated factor
+    appears twice but is compiled once, so its instructions are shared.
+    Callers that only need the step's unitary fold each distinct factor
+    once with sequence.product_unitary instead of folding this sequence.
+    """
+    seq = GateSequence(model.n_modes if controlled is None else model.n_modes + 1, [],
+                       {"strategy": f"trotter-{order}"})
+    for factor in trotter_factors(model, tau, order, controlled, strategy,
+                                  coupling_scale, beta_bound):
+        seq.extend(factor)
     return seq
 
 

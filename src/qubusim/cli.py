@@ -16,11 +16,11 @@ from functools import cache
 
 import numpy as np
 
-from .bcs import BCSModel, SpectrumResult, exact_spectrum, load_model, spectrum_to_csv
+from .bcs import load_model, spectrum_to_csv
 from .builders import STRATEGY_NAMES, InfeasibleStrategyError, build_uzz, strategy_from_name
 from .hybrid import EntangledBusError, z_signs
-from .pea import (PEAConfig, UnresolvedPeaksError, estimate_gap, resolve_tau, result_to_json,
-                  run_pea, substeps_for_target)
+from .pea import (PEAConfig, UnresolvedPeaksError, estimate_gap, gap_spectrum, resolve_tau,
+                  result_to_json, run_pea, substeps_for_target)
 from .resources import ResourceReport, ReportRow, crossover_n, max_n_for_budget, verify_counts
 from .sequence import MAX_QUBITS, count_ops, effective_unitary, load_sequence, save_sequence
 
@@ -54,19 +54,6 @@ def _positive(kind, below: float = math.inf):
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid int value" message reads it
     return parse
-
-
-def _gap_spectrum(model: BCSModel) -> SpectrumResult:
-    """The levels gap and pea read: the excitation sector when r = 1, else all.
-
-    Raises ValueError when there are fewer than two, so there is no gap.
-    """
-    sector = model.n_excitations if abs(model.r - 1.0) < 1e-12 else None
-    spec = exact_spectrum(model, sector)
-    if len(spec.eigenvalues) < 2:
-        raise ValueError(f"the {model.n_excitations}-excitation sector has one level; "
-                         "a gap needs two")
-    return spec
 
 
 def _diagonal_target(v: np.ndarray) -> np.ndarray:
@@ -141,7 +128,7 @@ def cmd_gap(args) -> int:
             cfg = PEAConfig(k=args.k, tau=args.tau, trotter_order=args.order,
                             shots=args.shots, seed=args.seed)
             tau = resolve_tau(model, cfg)
-        spec = _gap_spectrum(model)
+        spec = gap_spectrum(model)
     except ValueError as exc:
         return _usage_error("gap", exc)
     if want_pea:
@@ -178,7 +165,7 @@ def cmd_pea(args) -> int:
                         trotter_substeps=args.substeps,
                         shots=args.shots, seed=args.seed)
         resolve_tau(model, cfg)
-        _gap_spectrum(model)  # the initial state superposes its lowest two levels
+        gap_spectrum(model)  # the initial state superposes its lowest two levels
     except ValueError as exc:
         return _usage_error("pea", exc)
     res = run_pea(model, cfg)

@@ -21,16 +21,17 @@ from functools import cache
 
 import numpy as np
 
-from .bcs import BCSModel, exact_evolution, exact_spectrum, trotter_error
+from .bcs import BCSModel, SpectrumResult, exact_evolution, exact_spectrum, trotter_error
 from .builders import (
     HADAMARD,
     QftMode,
     build_adiabatic_init,
     build_qft,
     build_trotter_step,
+    trotter_factors,
 )
 from .sequence import (MAX_QUBITS, Barrier, Displace, GateSequence, Local, count_ops,
-                       effective_unitary)
+                       effective_unitary, product_unitary)
 
 __all__ = [
     "ExactSuperposition",
@@ -41,6 +42,7 @@ __all__ = [
     "PEAResult",
     "UnresolvedPeaksError",
     "build_pea",
+    "gap_spectrum",
     "resolve_tau",
     "run_pea",
     "estimate_gap",
@@ -86,6 +88,8 @@ class PEAConfig:
             raise ValueError("need at least one ancilla")
         if self.tau is not None:
             _check_tau(self.tau)
+        if self.trotter_order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
         if self.trotter_substeps < 1:
             raise ValueError("need at least one substep")
         if self.shots and self.seed is not None and self.seed < 0:
@@ -119,6 +123,19 @@ class PEAResult:
     resolution_phase: float
     resolution_energy: float
     counts: dict[str, int] | None = None
+
+
+def gap_spectrum(model: BCSModel) -> SpectrumResult:
+    """The levels a gap is read from: the excitation sector when r = 1, else all.
+
+    Raises ValueError when there are fewer than two, so there is no gap.
+    """
+    sector = model.n_excitations if abs(model.r - 1.0) < 1e-12 else None
+    spec = exact_spectrum(model, sector)
+    if len(spec.eigenvalues) < 2:
+        raise ValueError(f"the {model.n_excitations}-excitation sector has one level; "
+                         "a gap needs two")
+    return spec
 
 
 def resolve_tau(model: BCSModel, cfg: PEAConfig) -> float:
@@ -197,8 +214,7 @@ def build_pea(model: BCSModel, cfg: PEAConfig) -> PEACircuit:
 def _initial_system_state(model: BCSModel, cfg: PEAConfig) -> np.ndarray:
     n = model.n_modes
     if isinstance(cfg.init, ExactSuperposition):
-        sector = model.n_excitations if abs(model.r - 1.0) < 1e-12 else None
-        spec = exact_spectrum(model, sector)
+        spec = gap_spectrum(model)
         vec = np.zeros(2**n, dtype=complex)
         vec[spec.basis_indices] = (spec.eigenvectors[:, 0] + spec.eigenvectors[:, 1]) / np.sqrt(2)
         return vec
@@ -217,16 +233,18 @@ def _initial_system_state(model: BCSModel, cfg: PEAConfig) -> np.ndarray:
 def _controlled_step_matrix(model: BCSModel, cfg: PEAConfig, tau: float) -> np.ndarray:
     """Verified 2^N block that one controlled step applies when its ancilla is 1.
 
-    The whole (N + 1)-qubit step is folded; its block structure and the
-    unitarity of both blocks are checked at 1e-9, and failure aborts the
-    matrix substitution.  cfg.exact_controlled gives exp(-iH tau / substeps).
+    The (N + 1)-qubit step is the product of its distinct controlled
+    factors, each compiled and folded once (sequence.product_unitary).  The
+    product's block structure and the unitarity of both blocks are checked
+    at 1e-9, and failure aborts the matrix substitution.
+    cfg.exact_controlled gives exp(-iH tau / substeps).
     """
     n = model.n_modes
     if cfg.exact_controlled:
         return exact_evolution(model, tau / cfg.trotter_substeps)
-    seq = build_trotter_step(model, tau / cfg.trotter_substeps, order=cfg.trotter_order,
-                             controlled=0)
-    m = effective_unitary(seq, n + 1)
+    factors = trotter_factors(model, tau / cfg.trotter_substeps, order=cfg.trotter_order,
+                              controlled=0)
+    m = product_unitary(factors, n + 1)
     dim = 2**n
     top_right = np.max(np.abs(m[:dim, dim:]))
     bottom_left = np.max(np.abs(m[dim:, :dim]))

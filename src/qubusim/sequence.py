@@ -16,7 +16,8 @@ The bus-amplitude array stays at rest, unmaterialized, while every
 displacement run closes before the next local gate, as the compiled loops
 do (Sorensen and Molmer, PRA 62, 022311 (2000)): a run counts as closed when
 its net displacement is within the rounding bound of its own sum, and then
-costs one phase per basis state.
+costs one phase per basis state.  product_unitary multiplies the folds of
+parts that each return the bus to rest, folding a repeated part once.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "count_ops",
     "execute",
     "effective_unitary",
+    "product_unitary",
     "sequence_to_json",
     "sequence_from_json",
     "save_sequence",
@@ -188,6 +190,31 @@ def effective_unitary(seq: GateSequence, n: int | None = None, tol: float = 1e-9
         raise EntangledBusError("residual bus amplitude depends on the input basis state")
     if np.max(np.abs(u.conj().T @ u - np.eye(2**n))) > 1e-9:
         raise EntangledBusError("reconstructed matrix is not unitary; bus leakage suspected")
+    return u
+
+
+def product_unitary(parts: list[GateSequence], n: int) -> np.ndarray:
+    """Unitary of the parts applied in order: U_last ... U_first.
+
+    Each distinct part (by identity) is folded once with effective_unitary,
+    so a part that repeats costs one 2^n x 2^n product, not a second fold.
+    This equals effective_unitary of the concatenated parts, global phase
+    included, only when every part returns the bus to rest: a bus left at
+    alpha would add the phase Im(delta conj(alpha)) to each later
+    displacement delta.  Compiled Trotter factors close every displacement
+    run, so they qualify.  The residual is not measured here: a part that
+    leaves the bus displaced, such as half of a displacement loop, leaves
+    a residual that depends on the input basis state, and effective_unitary
+    rejects it with EntangledBusError.
+    """
+    if not parts:
+        raise ValueError("need at least one part")
+    folded: dict[int, np.ndarray] = {}
+    u = None
+    for part in parts:
+        if id(part) not in folded:
+            folded[id(part)] = effective_unitary(part, n)
+        u = folded[id(part)] if u is None else folded[id(part)] @ u
     return u
 
 

@@ -357,3 +357,43 @@ def test_inverse_qft_matrix_is_cached_and_read_only(k):
         m[0, 0] = 0.0
     fresh = effective_unitary(build_qft(k, QftMode(measurement_ready=True, forward=False)), k)
     assert np.array_equal(m, fresh)
+
+
+def test_run_pea_rejects_a_one_level_sector():
+    model = single_qubit_model(1.0)
+    with pytest.raises(ValueError,
+                       match="^the 0-excitation sector has one level; a gap needs two$"):
+        run_pea(model, PEAConfig(k=3))
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_config_rejects_unknown_trotter_order(order):
+    with pytest.raises(ValueError, match="^order must be 1 or 2$"):
+        PEAConfig(k=3, trotter_order=order)
+
+
+@pytest.mark.parametrize("block", ["top-right", "bottom-left", "identity", "unitary"])
+def test_controlled_step_block_checks(block, monkeypatch):
+    # Each corruption breaks exactly one of the four block checks.
+    fold = pea.product_unitary
+
+    def corrupted(parts, n):
+        m = fold(parts, n).copy()
+        dim = m.shape[0] // 2
+        if block == "top-right":
+            m[0, dim] += 1e-8
+        elif block == "bottom-left":
+            m[dim, 0] += 1e-8
+        elif block == "identity":
+            m[:dim, :dim] *= np.exp(1e-8j)
+        else:
+            m[dim:, dim:] *= 1 + 1e-8
+        return m
+
+    model = pairing_model()
+    cfg = PEAConfig(k=3)
+    tau = resolve_tau(model, cfg)
+    pea._controlled_step_matrix(model, cfg, tau)
+    monkeypatch.setattr(pea, "product_unitary", corrupted)
+    with pytest.raises(RuntimeError, match="verification failed"):
+        pea._controlled_step_matrix(model, cfg, tau)

@@ -35,6 +35,7 @@ from qubusim.sequence import (
     execute,
     load_sequence,
     _fold_columns,
+    product_unitary,
     save_sequence,
     sequence_from_json,
     sequence_to_json,
@@ -272,3 +273,37 @@ def test_non_finite_beta_raises_before_a_later_bad_qubit():
     seq.instructions.append(Displace(5, 0.1))
     with pytest.raises(ValueError, match="finite"):
         effective_unitary(seq)
+
+
+def test_product_unitary_folds_each_distinct_part_once(monkeypatch):
+    import qubusim.sequence as sequence
+
+    a, b = build_cphase(0, 1, 0.3, 2), build_cphase(1, 0, -0.7, 2)
+    b.instructions.append(Local(1, haar_unitary_2(np.random.default_rng(431))))
+    folded = []
+    fold = sequence.effective_unitary
+    monkeypatch.setattr(sequence, "effective_unitary",
+                        lambda seq, n: folded.append(seq) or fold(seq, n))
+    u = product_unitary([a, b, a], 2)
+    assert folded == [a, b]
+    ua, ub = fold(a, 2), fold(b, 2)
+    assert np.array_equal(u, ua @ (ub @ ua))
+    whole = GateSequence(2, a.instructions + b.instructions + a.instructions)
+    assert np.max(np.abs(u - fold(whole, 2))) <= 1e-12
+    with pytest.raises(ValueError, match="at least one part"):
+        product_unitary([], 2)
+
+
+def test_product_unitary_refuses_a_part_that_leaves_the_bus_displaced():
+    # A ZZ loop cut in half: the whole loop folds to its phase, but each
+    # half leaves the bus displaced by an amount that depends on the input,
+    # and the product of the halves would miss the phase between them.
+    loop = build_cphase(0, 1, 0.3)
+    disps = [i for i, ins in enumerate(loop.instructions) if isinstance(ins, Displace)]
+    cut = disps[len(disps) // 2]
+    first = GateSequence(2, loop.instructions[:cut])
+    second = GateSequence(2, loop.instructions[cut:])
+    whole = effective_unitary(GateSequence(2, first.instructions + second.instructions), 2)
+    assert np.max(np.abs(whole - effective_unitary(loop, 2))) == 0.0
+    with pytest.raises(EntangledBusError):
+        product_unitary([first, second], 2)

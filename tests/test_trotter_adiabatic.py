@@ -13,8 +13,9 @@ from qubusim.builders import (
     adiabatic_steps,
     build_adiabatic_init,
     build_trotter_step,
+    trotter_factors,
 )
-from qubusim.sequence import count_ops, effective_unitary
+from qubusim.sequence import count_ops, effective_unitary, product_unitary, sequence_to_json
 
 from oracles import banded_coupling, product_coupling, random_dense_coupling
 
@@ -64,6 +65,48 @@ def test_trotter_factor_layout():
         build_trotter_step(model, 0.1, order=3)
     with pytest.raises(ValueError):
         build_trotter_step(model, -0.1, order=2)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_factor_product_matches_whole_step_fold(n):
+    # Every factor returns the bus to rest, so the product of the folded
+    # factors is the fold of the step, global phase included.
+    rng = np.random.default_rng(160 + n)
+    for r, scale in ((1.0, 1.0), (0.6, 1.0), (1.0, 0.37), (0.6, 0.37)):
+        model = random_model(n, rng, r=r)
+        for order in (1, 2):
+            for controlled in (None, 0):
+                args = (model, 0.3, order, controlled, Carryover(), scale)
+                width = n if controlled is None else n + 1
+                whole = effective_unitary(build_trotter_step(*args), width)
+                product = product_unitary(trotter_factors(*args), width)
+                assert np.max(np.abs(product - whole)) <= 1e-12
+
+
+def test_step_is_the_concatenation_of_its_factors():
+    model = random_model(3, np.random.default_rng(163), r=0.6)
+    for order, layout in ((1, [0, 1, 2]), (2, [0, 1, 2, 1, 0])):
+        for controlled in (None, 0):
+            factors = trotter_factors(model, 0.2, order, controlled)
+            distinct = list({id(f): f for f in factors}.values())
+            assert [distinct.index(f) for f in factors] == layout
+            step = build_trotter_step(model, 0.2, order, controlled)
+            assert step.num_qubits == factors[0].num_qubits
+            assert step.metadata == {"strategy": f"trotter-{order}"}
+            assert sequence_to_json(step)["instructions"] == [
+                item for f in factors for item in sequence_to_json(f)["instructions"]]
+    # In one step, the two copies of a repeated factor share their instructions.
+    step = build_trotter_step(model, 0.2, 2)
+    u0 = len(trotter_factors(model, 0.2, 2)[0].instructions)
+    assert all(x is y for x, y in zip(step.instructions[:u0], step.instructions[-u0:]))
+
+
+def test_trotter_error_rejects_exact_of_the_wrong_shape():
+    rng = np.random.default_rng(167)
+    model = random_model(3, rng)
+    for bad in (exact_evolution(random_model(2, rng), 0.2), np.eye(8)[0]):
+        with pytest.raises(ValueError, match=r"must be a \(8, 8\) matrix"):
+            trotter_error(model, 0.2, 2, exact=bad)
 
 
 def test_uncontrolled_step_counts_match_init_formulas():
