@@ -137,7 +137,8 @@ def cmd_gap(args) -> int:
         else:
             try:
                 cfg.trotter_substeps = substeps_for_target(model, tau, args.k, args.order)
-            except ValueError as exc:  # the product-formula error is not computable here
+            # ValueError: the error is not computable here; RuntimeError: no count meets it.
+            except (ValueError, RuntimeError) as exc:
                 return _usage_error("gap", f"{exc}; give --substeps")
     exact = float(spec.eigenvalues[1] - spec.eigenvalues[0])
     if args.spectrum_out:

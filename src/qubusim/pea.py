@@ -16,6 +16,7 @@ in their basis (Cleve et al., Proc. R. Soc. A 454, 339 (1998)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -277,6 +278,22 @@ def _signed_phase(y: int, k: int) -> float:
     return phi - 2.0 * np.pi if phi > np.pi else phi
 
 
+def _rank_outcomes(distribution: dict[str, float]) -> list[tuple[int, float]]:
+    """(outcome, weight) pairs by descending weight.
+
+    Weights within 1e-12 of the first of their run tie, and tied outcomes
+    are listed by ascending index, so rounding noise cannot reorder peaks
+    that are equal by symmetry.
+    """
+    ranked, tied = [], []
+    for y, w in sorted(((int(b, 2), w) for b, w in distribution.items()), key=lambda t: -t[1]):
+        if tied and tied[0][1] - w > 1e-12:
+            ranked += sorted(tied)
+            tied = []
+        tied.append((y, w))
+    return ranked + sorted(tied)
+
+
 def run_pea(model: BCSModel, cfg: PEAConfig,
             input_state: np.ndarray | None = None) -> PEAResult:
     """Return the exact outcome distribution of phase estimation.
@@ -313,10 +330,7 @@ def run_pea(model: BCSModel, cfg: PEAConfig,
         if probs[y_reg] > 1e-15:
             distribution[format(y, f"0{k}b")] = float(probs[y_reg])
 
-    phases = sorted(
-        ((_signed_phase(int(b, 2), k), w) for b, w in distribution.items()),
-        key=lambda t: -t[1],
-    )
+    phases = [(_signed_phase(y, k), w) for y, w in _rank_outcomes(distribution)]
     result = PEAResult(
         k=k,
         tau=tau,
@@ -377,18 +391,49 @@ def estimate_gap(res: PEAResult) -> float:
 
 def substeps_for_target(model: BCSModel, tau: float, k: int, order: int = 2,
                         fraction: float = 0.25, max_substeps: int = 256) -> int:
-    """Smallest power-of-two substep count keeping the product-formula error
-    below fraction * (energy resolution) over the full controlled evolution."""
+    """Power-of-two substep count keeping the product-formula error below
+    fraction * (energy resolution) over the full controlled evolution.
+
+    The count s is searched on the ladder 1, 2, 4, ..., up to max_substeps.
+    The result passes (its error is below the target), and either it is 1
+    or s / 2 fails, so it is the smallest passing count whenever the error
+    does not grow along the ladder.  After a failure with error e the search
+    jumps ceil(log2(e / target) / order) rungs (at least one), the rungs an
+    error falling as s^-order needs (Childs et al., PRX 11, 011020 (2021));
+    after a pass it probes the rung below; a probe outside the bracket of
+    known failing and passing rungs bisects it instead.  Raises ValueError
+    on bad arguments, before diagonalizing, and RuntimeError when the top
+    rung fails.
+    """
     _check_tau(tau)
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    if k < 1:
+        raise ValueError("need at least one ancilla")
+    if not (np.isfinite(fraction) and fraction > 0):
+        raise ValueError("fraction must be positive and finite")
+    if max_substeps < 1:
+        raise ValueError("max_substeps must be at least 1")
     target = fraction * 2.0 * np.pi / (2**k * tau)
+    if target == 0.0:
+        raise ValueError("fraction too small: the error target underflows to zero")
     exact = exact_evolution(model, (2**k) * tau)
-    s = 1
-    while s <= max_substeps:
-        err = trotter_error(model, (2**k) * tau, s * 2**k, order, exact=exact) / tau
+    top = max_substeps.bit_length() - 1
+    lo, hi = -1, top + 1      # rungs known to fail and to pass
+    j = 0
+    while hi - lo > 1:
+        err = trotter_error(model, (2**k) * tau, 2**j * 2**k, order, exact=exact) / tau
         if err < target:
-            return s
-        s *= 2
-    raise RuntimeError(f"no substep count up to {max_substeps} meets the error target")
+            hi, j = j, j - 1
+        else:
+            lo = j
+            rungs = min(top, math.log2(err / target) / order)  # err / target may overflow
+            j = min(top, j + max(1, math.ceil(rungs)))
+        if not lo < j < hi:
+            j = (lo + hi) // 2
+    if hi > top:
+        raise RuntimeError(f"no substep count up to {max_substeps} meets the error target")
+    return 2**hi
 
 
 def result_to_json(res: PEAResult) -> dict:

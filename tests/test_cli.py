@@ -211,6 +211,21 @@ def test_gap_auto_substeps_beyond_trotter_error_exits_2(tmp_path, capsys):
     assert not spectrum.exists()
 
 
+def test_gap_auto_substeps_exhausted_exits_2(tmp_path, capsys):
+    # At k = 10 no first-order count up to 256 substeps meets the target.
+    path = tmp_path / "model3.json"
+    path.write_text(json.dumps({"N": 3, "n": 1, "eps": [1.0, 1.5, 2.0],
+                                "V": [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]],
+                                "r": 1.0}))
+    out, spectrum = tmp_path / "out.txt", tmp_path / "spectrum.csv"
+    assert main(["gap", "--model", str(path), "--k", "10", "--order", "1",
+                 "--out", str(out), "--spectrum-out", str(spectrum)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("qubusim gap: error: no substep count up to 256 meets the error "
+                            "target; give --substeps\n")
+    assert captured.out == ""
+    assert not out.exists() and not spectrum.exists()
+
 @pytest.mark.parametrize("argv", [
     ["gap"], ["gap", "--method", "exact"], ["pea"],
 ], ids=" ".join)
@@ -256,6 +271,13 @@ def test_gap_exact_and_pea(model_file, capsys):
     gap = float(pea_line.split()[2])
     res = float(pea_line.split()[4])
     assert abs(gap - 1.0) <= res
+
+
+def test_gap_lists_tied_peaks_by_outcome_index(model_file, capsys):
+    # The two peaks are equal by the model's mode symmetry.
+    assert main(["gap", "--model", model_file, "--k", "6"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "peak phases: 1.5707963267948966 (w=0.4054), -1.5707963267948966 (w=0.4054)")
 
 
 def test_gap_degenerate_exits_4(tmp_path):

@@ -397,3 +397,146 @@ def test_controlled_step_block_checks(block, monkeypatch):
     monkeypatch.setattr(pea, "product_unitary", corrupted)
     with pytest.raises(RuntimeError, match="verification failed"):
         pea._controlled_step_matrix(model, cfg, tau)
+
+
+def three_mode_model():
+    v = np.full((3, 3), 0.5) - 0.5 * np.eye(3)
+    return BCSModel(3, 1, np.array([1.0, 1.5, 2.0]), CouplingMatrix(3, v), r=1.0)
+
+
+def probed_substeps(monkeypatch, k, error=None):
+    """Substep counts substeps_for_target hands to trotter_error, in order.
+
+    error(substeps) replaces the product-formula error when given.
+    """
+    probes = []
+    measure = pea.trotter_error
+
+    def counted(model, t, steps, order, *, exact):
+        probes.append(steps // 2**k)
+        return error(steps // 2**k) if error else measure(model, t, steps, order, exact=exact)
+
+    monkeypatch.setattr(pea, "trotter_error", counted)
+    return probes
+
+
+def doubling_substeps(err, target, max_substeps=256):
+    """Reference: the first count of 1, 2, 4, ... whose error is below target."""
+    s = 1
+    while s <= max_substeps:
+        if err(s) < target:
+            return s
+        s *= 2
+    return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(n=st.integers(2, 5), k=st.integers(1, 8), order=st.sampled_from([1, 2]),
+       r=st.sampled_from([1.0, 0.6]), seed=st.integers(0, 2**32 - 1))
+def test_substeps_for_target_matches_doubling_search(n, k, order, r, seed):
+    rng = np.random.default_rng(seed)
+    v = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+    model = BCSModel(n, n // 2, rng.uniform(0.5, 2.0, n), CouplingMatrix(n, v + v.T), r=r)
+    tau = resolve_tau(model, PEAConfig(k=k))
+    target = 0.25 * 2.0 * np.pi / (2**k * tau)
+    exact = exact_evolution(model, 2**k * tau)
+    errors = {}
+
+    def err(s):
+        if s not in errors:
+            errors[s] = pea.trotter_error(model, 2**k * tau, s * 2**k, order, exact=exact) / tau
+        return errors[s]
+
+    ref = doubling_substeps(err, target)
+    if ref is None:
+        with pytest.raises(RuntimeError, match="no substep count up to 256"):
+            substeps_for_target(model, tau, k, order)
+        return
+    s = substeps_for_target(model, tau, k, order)
+    assert s == ref
+    assert err(s) < target
+    assert s == 1 or err(s // 2) >= target
+
+
+def test_substeps_for_target_jumps_by_the_order_and_confirms(monkeypatch):
+    # Doubling probes 1, 2, 4, 8, 16; the order jump goes from 1 straight
+    # to 16 and one probe at 8 confirms that 16 is the smallest.
+    model = three_mode_model()
+    tau = resolve_tau(model, PEAConfig(k=6))
+    probes = probed_substeps(monkeypatch, 6)
+    assert substeps_for_target(model, tau, 6, order=2) == 16
+    assert probes == [1, 16, 8]
+
+
+def test_substeps_for_target_exhaustion_probes_the_top_rung(monkeypatch):
+    model = three_mode_model()
+    tau = resolve_tau(model, PEAConfig(k=10))
+    probes = probed_substeps(monkeypatch, 10)
+    with pytest.raises(RuntimeError, match="^no substep count up to 256 meets the error target$"):
+        substeps_for_target(model, tau, 10, order=1)
+    assert probes == [1, 256]
+
+
+@pytest.mark.parametrize("max_substeps, top", [(1, 1), (5, 4), (256, 256), (300, 256)])
+def test_substeps_for_target_ladder_tops_at_a_power_of_two(monkeypatch, max_substeps, top):
+    probes = probed_substeps(monkeypatch, 3, error=lambda s: np.inf if s < top else 0.0)
+    assert substeps_for_target(pairing_model(), 0.5, 3, max_substeps=max_substeps) == top
+    assert probes == ([1] if top == 1 else [1, top, top // 2])
+
+
+def test_substeps_for_target_failure_at_the_target_still_moves_up(monkeypatch):
+    # An error equal to the target fails but asks for no jump; the search
+    # still climbs one rung at a time.
+    k, tau = 2, 1.0
+    target = 0.25 * 2.0 * np.pi / (2**k * tau)
+    probes = probed_substeps(monkeypatch, k, error=lambda s: target if s < 8 else 0.0)
+    assert substeps_for_target(pairing_model(), tau, k, order=1) == 8
+    assert probes == [1, 2, 4, 8]
+
+
+def test_substeps_for_target_jump_past_the_top_probes_the_top(monkeypatch):
+    # A flat error 32 times the target asks for five rungs from 1 (to 32)
+    # and five more from 32, past the top rung 256, so the top is probed.
+    k, tau = 2, 1.0
+    target = 0.25 * 2.0 * np.pi / (2**k * tau)
+    probes = probed_substeps(monkeypatch, k, error=lambda s: 32 * target if s < 256 else 0.0)
+    assert substeps_for_target(pairing_model(), tau, k, order=1) == 256
+    assert probes == [1, 32, 256, 128]
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"order": 0}, "^order must be 1 or 2$"),
+    ({"order": 3}, "^order must be 1 or 2$"),
+    ({"k": 0}, "^need at least one ancilla$"),
+    ({"fraction": float("nan")}, "^fraction must be positive and finite$"),
+    ({"fraction": float("inf")}, "^fraction must be positive and finite$"),
+    ({"fraction": 0.0}, "^fraction must be positive and finite$"),
+    ({"fraction": -0.25}, "^fraction must be positive and finite$"),
+    ({"fraction": 5e-324, "k": 10}, "^fraction too small: the error target underflows to zero$"),
+    ({"max_substeps": 0}, "^max_substeps must be at least 1$"),
+    ({"max_substeps": -4}, "^max_substeps must be at least 1$"),
+])
+def test_substeps_for_target_rejects_bad_arguments_up_front(monkeypatch, kwargs, message):
+    def no_evolution(*args, **kw):
+        raise AssertionError("diagonalized before the argument checks")
+
+    monkeypatch.setattr(pea, "exact_evolution", no_evolution)
+    monkeypatch.setattr(pea, "trotter_error", no_evolution)
+    args = {"k": 4, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        substeps_for_target(pairing_model(), 0.5, **args)
+
+
+def test_tied_peaks_are_listed_by_outcome_index():
+    # The two peaks of the symmetric two-mode model have equal weight up to
+    # rounding; the one at the smaller outcome (+pi/2, outcome 16) comes first.
+    model = pairing_model()
+    res = run_pea(model, PEAConfig(k=6, trotter_substeps=substeps_for_target(
+        model, resolve_tau(model, PEAConfig(k=6)), 6)))
+    (p1, w1), (p2, w2) = res.phases[:2]
+    assert (p1, p2) == (np.pi / 2, -np.pi / 2)
+    assert abs(w1 - w2) <= 1e-12
+
+
+def test_rank_outcomes_ties_within_1e_12():
+    dist = {"00": 0.1, "01": 0.3 - 5e-13, "10": 0.3 + 4e-13, "11": 0.3 - 2e-12}
+    assert [y for y, _ in pea._rank_outcomes(dist)] == [1, 2, 3, 0]
