@@ -12,10 +12,15 @@ enables sector-restricted spectra.
 
 Qubit 0 is the most significant bit of the basis index, consistently with
 the rest of the package.  Time evolution is exp(-iHt).
+
+A model holds read-only copies of its arrays and memoizes its Hamiltonian
+and spectra on the instance, so one model is diagonalized once per sector
+however many callers ask for its levels.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -90,7 +95,7 @@ class BCSModel:
     r: float = 1.0
 
     def __post_init__(self):
-        eps = np.asarray(self.eps, dtype=float)
+        eps = np.array(self.eps, dtype=float)
         if eps.shape != (self.n_modes,):
             raise ValueError("eps must have one entry per mode")
         if not np.all(np.isfinite(eps)):
@@ -99,15 +104,28 @@ class BCSModel:
             raise ValueError("coupling matrix size must match the mode count")
         if not 0 <= self.n_excitations <= self.n_modes:
             raise ValueError("excitation count must lie in [0, N]")
-        object.__setattr__(self, "eps", eps)
+        # exact_spectrum memoizes what it reads from eps and V in _memo (not a
+        # field, so it takes no part in equality, repr or dataclasses.replace);
+        # private read-only copies keep a caller's later write from staling it.
+        # The coupling is validated already, so only its array is replaced.
+        coupling = copy.copy(self.v)
+        object.__setattr__(coupling, "v", _read_only(self.v.v.copy()))
+        object.__setattr__(self, "v", coupling)
+        object.__setattr__(self, "eps", _read_only(eps))
+        object.__setattr__(self, "_memo", {})
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectrumResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     sector: int | None = None
     basis_indices: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def hamiltonian_matrix(m: BCSModel) -> np.ndarray:
@@ -142,16 +160,28 @@ def sector_indices(n: int, excitations: int) -> np.ndarray:
 
 
 def exact_spectrum(m: BCSModel, sector: int | None = None) -> SpectrumResult:
-    """Full or excitation-sector spectrum by dense diagonalization."""
-    h = hamiltonian_matrix(m)
+    """Full or excitation-sector spectrum by dense diagonalization.
+
+    Memoized per sector on the model, with the Hamiltonian it is read from,
+    and returned read-only: callers share the result.
+    """
+    memo = m._memo
+    if ("spectrum", sector) in memo:
+        return memo["spectrum", sector]
+    if "hamiltonian" not in memo:
+        memo["hamiltonian"] = _read_only(hamiltonian_matrix(m))
+    h = memo["hamiltonian"]
     if sector is None:
+        idx = np.arange(2**m.n_modes)
         w, vecs = np.linalg.eigh(h)
-        return SpectrumResult(w, vecs, None, np.arange(2**m.n_modes))
-    if abs(m.r - 1.0) > 1e-12:
-        raise SectorUnavailableError("excitation sectors require r = 1")
-    idx = sector_indices(m.n_modes, sector)
-    w, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
-    return SpectrumResult(w, vecs, sector, idx)
+    else:
+        if abs(m.r - 1.0) > 1e-12:
+            raise SectorUnavailableError("excitation sectors require r = 1")
+        idx = sector_indices(m.n_modes, sector)
+        w, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
+    spec = SpectrumResult(_read_only(w), _read_only(vecs), sector, _read_only(idx))
+    memo["spectrum", sector] = spec
+    return spec
 
 
 def energy_gap(m: BCSModel, sector: int | None = None) -> float:
@@ -163,11 +193,11 @@ def energy_gap(m: BCSModel, sector: int | None = None) -> float:
 
 
 def exact_evolution(m: BCSModel, t: float) -> np.ndarray:
-    """exp(-iHt) through the eigendecomposition."""
+    """exp(-iHt) through the full eigendecomposition (exact_spectrum)."""
     if m.n_modes > 10:
         raise ValueError("exact evolution limited to 10 qubits")
-    h = hamiltonian_matrix(m)
-    w, vecs = np.linalg.eigh(h)
+    spec = exact_spectrum(m)
+    w, vecs = spec.eigenvalues, spec.eigenvectors
     return (vecs * np.exp(-1j * w * t)) @ vecs.conj().T
 
 

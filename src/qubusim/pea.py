@@ -278,20 +278,25 @@ def _signed_phase(y: int, k: int) -> float:
     return phi - 2.0 * np.pi if phi > np.pi else phi
 
 
-def _rank_outcomes(distribution: dict[str, float]) -> list[tuple[int, float]]:
-    """(outcome, weight) pairs by descending weight.
+def _tied_outcomes(distribution: dict[str, float]) -> list[list[tuple[int, float]]]:
+    """(outcome, weight) pairs in groups of tied weight, heaviest group first.
 
     Weights within 1e-12 of the first of their run tie, and tied outcomes
     are listed by ascending index, so rounding noise cannot reorder peaks
     that are equal by symmetry.
     """
-    ranked, tied = [], []
+    groups: list[list[tuple[int, float]]] = []
     for y, w in sorted(((int(b, 2), w) for b, w in distribution.items()), key=lambda t: -t[1]):
-        if tied and tied[0][1] - w > 1e-12:
-            ranked += sorted(tied)
-            tied = []
-        tied.append((y, w))
-    return ranked + sorted(tied)
+        if groups and groups[-1][0][1] - w <= 1e-12:
+            groups[-1].append((y, w))
+        else:
+            groups.append([(y, w)])
+    return [sorted(group) for group in groups]
+
+
+def _rank_outcomes(distribution: dict[str, float]) -> list[tuple[int, float]]:
+    """(outcome, weight) pairs by descending weight, ties as _tied_outcomes breaks them."""
+    return [pair for group in _tied_outcomes(distribution) for pair in group]
 
 
 def run_pea(model: BCSModel, cfg: PEAConfig,
@@ -360,33 +365,30 @@ def run_pea(model: BCSModel, cfg: PEAConfig,
 def estimate_gap(res: PEAResult) -> float:
     """Energy gap from the two dominant, resolvable outcome peaks.
 
-    Peaks must sit more than one resolution bin apart; probability ties
-    break toward larger separation.  Signed phases make the difference
-    unambiguous given the validated tau scaling.  The quoted uncertainty is
-    one bin, 2 pi / (2^k tau).
+    Outcomes are ranked as in res.phases (_tied_outcomes), so weights
+    equal up to rounding rank the same way every time.  The first peak is
+    the first ranked outcome; the second is the farthest outcome, then the
+    lowest, of the heaviest tie group with one more than one resolution bin
+    from the first.  Signed phases make the difference unambiguous given
+    the validated tau scaling.  The quoted uncertainty is one bin,
+    2 pi / (2^k tau).
     """
     k, tau = res.k, res.tau
     if len(res.distribution) < 2:
         raise UnresolvedPeaksError("need two distinct outcome peaks")
-    items = sorted(res.distribution.items(), key=lambda t: -t[1])
-    y1 = int(items[0][0], 2)
+    groups = _tied_outcomes(res.distribution)
+    y1 = groups[0][0][0]
 
-    def bin_distance(a: int, b: int) -> int:
-        d = abs(a - b) % 2**k
+    def bin_distance(y: int) -> int:
+        d = abs(y1 - y) % 2**k
         return min(d, 2**k - d)
 
-    candidates = []
-    for b, w in items[1:]:
-        y = int(b, 2)
-        d = bin_distance(y1, y)
-        if d > 1:
-            candidates.append((-w, -d, y))
-    if not candidates:
-        raise UnresolvedPeaksError("peaks closer than the phase resolution")
-    candidates.sort()
-    phi1 = _signed_phase(y1, k)
-    phi2 = _signed_phase(candidates[0][2], k)
-    return abs(phi1 - phi2) / tau
+    for group in groups:
+        far = [y for y, _ in group if bin_distance(y) > 1]
+        if far:
+            y2 = max(far, key=bin_distance)
+            return abs(_signed_phase(y1, k) - _signed_phase(y2, k)) / tau
+    raise UnresolvedPeaksError("peaks closer than the phase resolution")
 
 
 def substeps_for_target(model: BCSModel, tau: float, k: int, order: int = 2,

@@ -12,12 +12,17 @@ effective_unitary reconstructs the compiled qubit unitary by folding all 2^n
 basis columns through the sequence as two arrays (branch amplitude and bus
 amplitude per basis state and column); it falls back to executing the
 columns one at a time when a local gate hits a qubit entangled with the bus.
-The bus-amplitude array stays at rest, unmaterialized, while every
-displacement run closes before the next local gate, as the compiled loops
-do (Sorensen and Molmer, PRA 62, 022311 (2000)): a run counts as closed when
-its net displacement is within the rounding bound of its own sum, and then
-costs one phase per basis state.  product_unitary multiplies the folds of
-parts that each return the bus to rest, folding a repeated part once.
+The local gates cut the sequence into displacement runs, and all runs are
+composed together from per-qubit running sums: a run leaves its net
+displacement per qubit and its enclosed areas as Z_q Z_p phases (Sorensen
+and Molmer, PRA 62, 022311 (2000)), read on each basis state through the
+sign table.  The bus-amplitude array stays at rest, unmaterialized, while
+every run closes before the next local gate, as the compiled loops do: a run
+counts as closed when its net displacement is within the rounding bound of
+its own sum, and then costs one phase per basis state.  While the bus is at
+rest the amplitudes are thresholded once, not after every local gate.
+product_unitary multiplies the folds of parts that each return the bus to
+rest, folding a repeated part once.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import cmath
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -170,7 +176,9 @@ def effective_unitary(seq: GateSequence, n: int | None = None, tol: float = 1e-9
 
     Requires the sequence to leave the bus disentangled on every basis input
     and to return it to the same amplitude for all of them, so the register
-    factors out with consistent relative phases.  Limited to n <= MAX_QUBITS.
+    factors out with consistent relative phases; a fold whose bus amplitude
+    never left rest meets this exactly and skips the check.  Limited to
+    n <= MAX_QUBITS.
     """
     if n is None:
         n = seq.num_qubits
@@ -185,7 +193,7 @@ def effective_unitary(seq: GateSequence, n: int | None = None, tol: float = 1e-9
         u, residuals = _execute_columns(seq, n, tol)
     else:
         u, alpha = folded
-        residuals = _folded_residuals(u, alpha, tol)
+        residuals = _folded_residuals(u, alpha, tol) if alpha.any() else np.zeros(2**n)
     if np.max(np.abs(residuals - residuals[0])) > tol:
         raise EntangledBusError("residual bus amplitude depends on the input basis state")
     if np.max(np.abs(u.conj().T @ u - np.eye(2**n))) > 1e-9:
@@ -225,27 +233,43 @@ def _fold_columns(seq: GateSequence, n: int) -> tuple[np.ndarray, np.ndarray] | 
     bus amplitude of that branch: one branch per (b, j), which stays true
     while no local gate mixes two rows in the support with different bus
     amplitudes.  A displacement adds s_q(b) beta to A and the phase
-    Im(s_q(b) beta conj(A)) to C, as apply_displacement does.  A run of
-    displacements composes as D(a) D(b) = exp((a conj(b) - conj(a) b)/2)
-    D(a + b), so its pairwise phases depend on the row only and the run
-    touches C and A once (see _compose_run).  A local gate mixes row b with
-    row b ^ q; the pair keeps the bus amplitude of its row in the support.
-    Amplitudes at or below COEFF_DROP_TOL are zeroed, as merge_branches
-    drops them.
+    Im(s_q(b) beta conj(A)) to C, as apply_displacement does.  The local
+    gates cut the sequence into displacement runs; _compose_runs gives the
+    pair phases Phi and net displacements B of all of them in one pass, and
+    through the sign table row b of a run moves the bus by s_b . B and
+    gains the phase s_b^T Phi s_b, so a run touches C and A once.  A local
+    gate mixes row b with row b ^ q; the pair keeps the bus amplitude of its
+    row in the support.
 
-    A stays at rest (None, zero on every row) while every run closes: a
-    closed run leaves only its row phases, a length-2^n vector that scales
-    the rows of C, and a local gate cannot meet an entangled qubit.  The
-    first run still open where a local gate or the sequence end applies it
-    materializes A, and from there every run updates C and A in full.  The
-    A returned is zero when it never left rest.
+    A stays at rest (None, zero on every row) while every run closes: a run
+    of L displacements counts as closed when its net displacement on every
+    row lies within (L - 1) (eps / 2) sum |beta|, the rounding bound of the
+    sum, and then only rotates the rows of C, and a local gate cannot meet
+    an entangled qubit.  The first run still open where a local gate or the
+    sequence end applies it materializes A, and from there every run adds
+    its displacement to A and the phase Im(alpha conj(A)) to C.  The A
+    returned is zero when it never left rest.
+
+    Amplitudes at or below COEFF_DROP_TOL are zeroed, as merge_branches
+    drops them.  While A is at rest nothing reads the support, so C is
+    thresholded once, where A materializes or else at the end; from
+    materialization on, after every local gate.
     """
-    dim = 2**n
-    signs = z_signs(n)
-    c = np.eye(dim, dtype=complex)
-    a = None
-    qubits: list[int] = []      # the pending displacement run
+    qubits: list[int] = []
     betas: list[complex] = []
+    runs: list[int] = []        # index among the non-empty runs, per displacement
+    starts: list[int] = []      # per non-empty run: the local gate it precedes
+    bounds: list[float] = []    # per non-empty run: the rounding bound of its sum
+    gates: list[tuple[int, np.ndarray]] = []
+    first = 0                   # first displacement of the pending run
+
+    def end_run():
+        nonlocal first
+        if len(betas) > first:
+            starts.append(len(gates))
+            bounds.append((len(betas) - first - 1) * (_EPS / 2)
+                          * sum(abs(b) for b in betas[first:]))
+            first = len(betas)
 
     for ins in seq.instructions:
         if isinstance(ins, Barrier):
@@ -258,9 +282,41 @@ def _fold_columns(seq: GateSequence, n: int) -> tuple[np.ndarray, np.ndarray] | 
                 raise ValueError("displacement amplitude must be finite")
             qubits.append(ins.qubit)
             betas.append(beta)
+            runs.append(len(starts))
             continue
-        a = _apply_run(c, a, signs, qubits, betas)
-        shift = n - 1 - ins.qubit
+        end_run()
+        gates.append((ins.qubit, _check_unitary(ins.u)))
+    end_run()
+
+    dim = 2**n
+    signs, pairs = _sign_tables(n)
+    if starts:
+        phi, net = _compose_runs(n, len(starts), qubits, betas, runs)
+        alpha = signs @ net.T                                 # (row, run): s_b . B
+        phase = pairs @ phi.reshape(len(starts), n * n).T     # (row, run): s_b^T Phi s_b
+        closed = np.max(np.abs(alpha), axis=0) <= bounds
+        turns = phase.any(axis=0)
+
+    c = np.eye(dim, dtype=complex)
+    a = None
+    k = 0                       # next non-empty run
+    for g in range(len(gates) + 1):
+        if k < len(starts) and starts[k] == g:
+            if a is None and closed[k]:
+                if turns[k]:
+                    c *= np.exp(1j * phase[:, k])[:, None]
+            else:
+                if a is None:
+                    c[np.abs(c) <= COEFF_DROP_TOL] = 0
+                    a = np.zeros((dim, dim), dtype=complex)
+                if turns[k] or alpha[:, k].any():
+                    c *= np.exp(1j * ((alpha[:, k, None] * a.conj()).imag + phase[:, k, None]))
+                    a += alpha[:, k, None]
+            k += 1
+        if g == len(gates):
+            break
+        qubit, u = gates[g]
+        shift = n - 1 - qubit
         # rows grouped as (higher bits, bit of the qubit, lower bits and column)
         c3 = c.reshape(dim >> (shift + 1), 2, -1)
         if a is not None:
@@ -270,57 +326,54 @@ def _fold_columns(seq: GateSequence, n: int) -> tuple[np.ndarray, np.ndarray] | 
             if np.any(in0 & in1 & (np.abs(a3[:, 0] - a3[:, 1]) > MERGE_TOL)):
                 return None
             a3[:] = np.where(in0, a3[:, 0], a3[:, 1])[:, None]
-        c = _check_unitary(ins.u) @ c3
-        c[np.abs(c) <= COEFF_DROP_TOL] = 0
+        c = u @ c3
+        if a is not None:
+            c[np.abs(c) <= COEFF_DROP_TOL] = 0
         c = c.reshape(dim, dim)
-    a = _apply_run(c, a, signs, qubits, betas)
-    return c, np.zeros((dim, dim), dtype=complex) if a is None else a
-
-
-def _compose_run(signs: np.ndarray, qubits: list[int],
-                 betas: list[complex]) -> tuple[np.ndarray, np.ndarray]:
-    """Net displacement and pairwise phase of a displacement run, per row.
-
-    Row b of the run moves the bus by d_i = s_q(b) beta_i in turn; the net
-    displacement is sum_i d_i and the phase sum_i Im(d_i conj(d_1 + ... +
-    d_{i-1})).  Both sums run left to right from zero, one displacement at
-    a time, as apply_displacement adds them.
-    """
-    dim, steps = signs.shape[0], len(betas)
-    d = np.zeros((dim, steps + 1), dtype=complex)
-    d[:, 1:] = signs[:, qubits] * np.array(betas)
-    prefix = np.cumsum(d, axis=1)  # prefix[:, i]: net displacement of the first i
-    terms = np.zeros((dim, steps + 1))
-    terms[:, 1:] = (d[:, 1:] * prefix[:, :-1].conj()).imag
-    return prefix[:, -1], np.cumsum(terms, axis=1)[:, -1]
-
-
-def _apply_run(c: np.ndarray, a: np.ndarray | None, signs: np.ndarray,
-               qubits: list[int], betas: list[complex]) -> np.ndarray | None:
-    """Apply the pending run to C in place, clear it and return the new A.
-
-    With A at rest (None) a run counts as closed when its net displacement
-    on every row lies within (L - 1) (eps / 2) sum |beta|, the rounding
-    bound of a sum of L displacements; it then only rotates the rows of C.
-    An open run, or any run once A is materialized, adds its displacement
-    to A and the phase Im(alpha conj(A)) to C.
-    """
-    if not betas:
-        return a
-    alpha, phase = _compose_run(signs, qubits, betas)
-    bound = (len(betas) - 1) * (_EPS / 2) * sum(abs(b) for b in betas)
-    qubits.clear()
-    betas.clear()
-    if a is None and np.max(np.abs(alpha)) <= bound:
-        if phase.any():
-            c *= np.exp(1j * phase)[:, None]
-        return None
     if a is None:
-        a = np.zeros(c.shape, dtype=complex)
-    if alpha.any() or phase.any():
-        c *= np.exp(1j * ((alpha[:, None] * a.conj()).imag + phase[:, None]))
-        a += alpha[:, None]
-    return a
+        c[np.abs(c) <= COEFF_DROP_TOL] = 0
+        a = np.zeros((dim, dim), dtype=complex)
+    return c, a
+
+
+@cache
+def _sign_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """z_signs(n) and its pair products s_q s_p, shape (2^n, n * n), read-only.
+
+    Built once per register size, since every fold of that size reads them.
+    """
+    signs = z_signs(n)
+    pairs = (signs[:, :, None] * signs[:, None, :]).reshape(2**n, n * n)
+    signs.flags.writeable = pairs.flags.writeable = False
+    return signs, pairs
+
+
+def _compose_runs(n: int, n_runs: int, qubits: list[int], betas: list[complex],
+                  runs: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Pair phases Phi, shape (n_runs, n, n), and net displacements B, (n_runs, n).
+
+    Displacement i moves the bus by betas[i] on qubit qubits[i] in run
+    runs[i], a non-decreasing index below n_runs.  B[r, q] sums
+    run r's betas on qubit q, and Phi[r, q, p] sums Im(beta_i conj(B_p))
+    over run r's displacements i on qubit q, with B_p the run's sum on
+    qubit p before i.  By D(x) D(y) = exp((x conj(y) - conj(x) y)/2)
+    D(x + y), a row with signs s then moves the bus by s . B[r] and gains
+    the phase s^T Phi[r] s (Sorensen and Molmer, PRA 62, 022311 (2000));
+    the q = p terms are its row-independent part.  The per-qubit running
+    sums are one prefix sum over the whole sequence, read from where each
+    run starts.
+    """
+    q = np.array(qubits, dtype=np.intp)
+    r = np.array(runs, dtype=np.intp)
+    beta = np.array(betas, dtype=complex)
+    steps = np.zeros((len(q) + 1, n), dtype=complex)
+    steps[np.arange(1, len(q) + 1), q] = beta
+    sums = np.cumsum(steps, axis=0)        # sums[i]: per-qubit sum of the first i betas
+    first = np.searchsorted(r, np.arange(n_runs + 1))  # where each run starts
+    before = sums[:-1] - sums[first[r]]
+    phi = np.zeros((n_runs * n, n))
+    np.add.at(phi, r * n + q, (beta[:, None] * before.conj()).imag)
+    return phi.reshape(n_runs, n, n), sums[first[1:]] - sums[first[:-1]]
 
 
 def _folded_residuals(c: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray:

@@ -225,3 +225,53 @@ def test_spectrum_csv_format():
     assert lines[0] == "index,eigenvalue"
     assert lines[1] == "0,-0.5"
     assert lines[2] == "1,0.5"
+
+
+def test_model_keeps_read_only_copies_of_its_arrays():
+    eps, v = np.array([1.0, 1.5]), np.array([[0.0, 0.5], [0.5, 0.0]])
+    m = BCSModel(2, 1, eps, CouplingMatrix(2, v))
+    eps[0] = v[0, 1] = v[1, 0] = 9.0
+    assert m.eps[0] == 1.0 and m.v.v[0, 1] == 0.5
+    for arr in (m.eps, m.v.v):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2.0
+
+
+def test_spectra_are_memoized_per_sector_and_read_only(monkeypatch):
+    import qubusim.bcs as bcs
+
+    builds = []
+    build = bcs.hamiltonian_matrix
+    monkeypatch.setattr(bcs, "hamiltonian_matrix", lambda m: builds.append(m) or build(m))
+    m = two_mode_model()
+    full, sector = exact_spectrum(m), exact_spectrum(m, 1)
+    assert exact_spectrum(m) is full and exact_spectrum(m, 1) is sector
+    assert len(builds) == 1
+    for arr in (full.eigenvalues, full.eigenvectors, sector.basis_indices):
+        assert not arr.flags.writeable
+    with pytest.raises(AttributeError):
+        full.eigenvalues = np.zeros(4)
+    # a second instance of the same model is diagonalized afresh
+    assert exact_spectrum(two_mode_model()) is not full
+    assert len(builds) == 2
+    # the evolution reads the memoized decomposition
+    w, vecs = np.linalg.eigh(build(m))
+    assert np.array_equal(exact_evolution(m, 0.3), (vecs * np.exp(-0.3j * w)) @ vecs.conj().T)
+    assert len(builds) == 2
+
+
+def test_one_gap_call_builds_h_once_and_diagonalizes_at_most_twice(tmp_path, monkeypatch):
+    import qubusim.bcs as bcs
+    from qubusim.cli import main
+
+    builds, eighs = [], []
+    build, eigh = bcs.hamiltonian_matrix, np.linalg.eigh
+    monkeypatch.setattr(bcs, "hamiltonian_matrix", lambda m: builds.append(m) or build(m))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    rng = np.random.default_rng(433)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model_to_json(
+        BCSModel(4, 2, rng.uniform(0.5, 2.0, 4), CouplingMatrix(4, random_dense_coupling(4, rng))))))
+    assert main(["gap", "--model", str(path), "--k", "4", "--out", str(tmp_path / "gap.txt")]) == 0
+    assert len(builds) == 1
+    assert eighs == [(16, 16), (6, 6)]

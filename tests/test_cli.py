@@ -363,3 +363,43 @@ def test_gap_spectrum_out(model_file, tmp_path):
     lines = Path(spec_path).read_text().strip().splitlines()
     assert lines[0] == "index,eigenvalue"
     assert len(lines) == 3  # two single-excitation levels
+
+
+# (substep count, two heaviest outcomes, gap estimate) of `qubusim gap --k 6`
+# on the models of _pinned_gap_models, recorded before the column fold
+# composed its displacement runs through per-qubit running sums.
+GAP_PINS = [
+    (16, [57, 1], 0.4854237613927386),
+    (4, [7, 10], 0.2789671666192979),
+    (16, [12, 10], 0.1422206447544159),
+    (16, [2, 4], 0.26090307486559466),
+]
+
+
+def _pinned_gap_models(tmp_path):
+    """Four seeded pairing models, N = 3, 4, 4, 5, drawn as the pea-gap benchmark draws them."""
+    rng = np.random.default_rng(1010)
+    for i, n in enumerate((3, 4, 4, 5)):
+        eps = rng.uniform(0.5, 2.0, n)
+        v = np.triu(rng.uniform(0.05, 0.5, (n, n)), 1)
+        path = tmp_path / f"model-{i}.json"
+        path.write_text(json.dumps({"N": n, "n": n // 2, "eps": eps.tolist(),
+                                    "V": (v + v.T).tolist(), "r": 1.0}))
+        yield str(path)
+
+
+def test_gap_outcomes_are_pinned(tmp_path, monkeypatch, capsys):
+    import qubusim.cli as cli
+    from qubusim.pea import _rank_outcomes
+
+    chosen, results = [], []
+    search, run = cli.substeps_for_target, cli.run_pea
+    monkeypatch.setattr(cli, "substeps_for_target",
+                        lambda *a, **kw: chosen.append(search(*a, **kw)) or chosen[-1])
+    monkeypatch.setattr(cli, "run_pea", lambda *a: results.append(run(*a)) or results[-1])
+    for path, (substeps, peaks, gap) in zip(_pinned_gap_models(tmp_path), GAP_PINS, strict=True):
+        assert main(["gap", "--model", path, "--k", "6"]) == 0
+        line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("pea gap:")][0]
+        assert chosen[-1] == substeps
+        assert [y for y, _ in _rank_outcomes(results[-1].distribution)[:2]] == peaks
+        assert float(line.split()[2]) == pytest.approx(gap, rel=1e-12, abs=0.0)

@@ -540,3 +540,28 @@ def test_tied_peaks_are_listed_by_outcome_index():
 def test_rank_outcomes_ties_within_1e_12():
     dist = {"00": 0.1, "01": 0.3 - 5e-13, "10": 0.3 + 4e-13, "11": 0.3 - 2e-12}
     assert [y for y, _ in pea._rank_outcomes(dist)] == [1, 2, 3, 0]
+
+
+@pytest.mark.parametrize("nudge", [1e-13, -1e-13])
+@pytest.mark.parametrize("first", ["0011", "0100"])
+def test_estimate_gap_ranks_near_ties_as_the_phases_do(nudge, first):
+    # Outcomes 3 and 4 are adjacent and tie up to rounding; 9 is third.  The
+    # first peak is outcome 3, the lower of the tie, in every order and on
+    # either side of the tie, so the second is 9 and the gap 10 bins.
+    k, tau = 4, 1.0
+    weights = {"0011": 0.4, "0100": 0.4 + nudge, "1001": 0.2}
+    dist = {first: weights[first], **weights}
+    res = PEAResult(k=k, tau=tau, distribution=dist, phases=[], gap_estimate=None,
+                    resolution_phase=2 * np.pi / 16, resolution_energy=2 * np.pi / 16)
+    assert [y for y, _ in pea._rank_outcomes(dist)] == [3, 4, 9]
+    assert estimate_gap(res) == pytest.approx(10 * 2 * np.pi / 16)
+
+
+def test_estimate_gap_breaks_second_peak_ties_toward_separation():
+    # 5 and 12 tie for second behind 3; 12 lies 7 bins from 3, 5 only 2.
+    base = dict(k=4, tau=1.0, phases=[], gap_estimate=None,
+                resolution_phase=2 * np.pi / 16, resolution_energy=2 * np.pi / 16)
+    for nudge in (0.0, 1e-13, -1e-13):
+        dist = {"0011": 0.5, "0101": 0.25, "1100": 0.25 + nudge}
+        assert estimate_gap(PEAResult(distribution=dist, **base)) == pytest.approx(
+            7 * 2 * np.pi / 16)

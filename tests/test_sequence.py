@@ -1,6 +1,7 @@
 """IR mechanics: counting, execution diagnostics, JSON interchange."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from qubusim.builders import (
     make_controlled_locals,
 )
 from qubusim.bcs import BCSModel, CouplingMatrix
-from qubusim.hybrid import EntangledBusError, init_state, qubit_amplitudes
+from qubusim.hybrid import (COEFF_DROP_TOL, EntangledBusError, apply_displacement, init_state,
+                            qubit_amplitudes, z_signs)
 from qubusim.sequence import (
     Barrier,
     Displace,
@@ -34,6 +36,7 @@ from qubusim.sequence import (
     effective_unitary,
     execute,
     load_sequence,
+    _compose_runs,
     _fold_columns,
     product_unitary,
     save_sequence,
@@ -307,3 +310,155 @@ def test_product_unitary_refuses_a_part_that_leaves_the_bus_displaced():
     assert np.max(np.abs(whole - effective_unitary(loop, 2))) == 0.0
     with pytest.raises(EntangledBusError):
         product_unitary([first, second], 2)
+
+
+# ---------------------------------------------------------------------------
+# Displacement runs composed from per-qubit running sums
+# ---------------------------------------------------------------------------
+
+def prefix_composition(signs: np.ndarray, qubits: list[int], betas: list[complex]):
+    """Net displacement and phase of one run, row by row from per-row prefix sums.
+
+    Row b moves the bus by d_i = s_q(b) beta_i in turn; the phase is
+    sum_i Im(d_i conj(d_1 + ... + d_{i-1})).
+    """
+    dim, steps = signs.shape[0], len(betas)
+    d = np.zeros((dim, steps + 1), dtype=complex)
+    d[:, 1:] = signs[:, qubits] * np.array(betas, dtype=complex)
+    prefix = np.cumsum(d, axis=1)
+    terms = (d[:, 1:] * prefix[:, :-1].conj()).imag
+    return prefix[:, -1], terms.sum(axis=1)
+
+
+_beta = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                                  allow_infinity=False))
+
+
+@st.composite
+def displacement_runs(draw):
+    """A register size and up to four runs; a run may close exactly by undoing itself."""
+    n = draw(st.integers(1, 8))
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        run = draw(st.lists(st.tuples(st.integers(0, n - 1), _beta), max_size=10))
+        if run and draw(st.booleans()):
+            run += [(q, -b) for q, b in draw(st.permutations(run))]
+        runs.append(run)
+    return n, runs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=displacement_runs(), data=st.data())
+def test_compose_runs_matches_row_by_row_composition(case, data):
+    n, runs = case
+    signs = z_signs(n)
+    q = np.array([q for run in runs for q, _ in run], dtype=np.intp)
+    beta = np.array([b for run in runs for _, b in run], dtype=complex)
+    r = np.repeat(np.arange(len(runs)), [len(run) for run in runs])
+    phi, net = _compose_runs(n, len(runs), q, beta, r)
+    rows = sorted({0, 2**n - 1, *range(0, 2**n, max(1, 2**n // 8))})
+    for j, run in enumerate(runs):
+        alpha = signs @ net[j]
+        phase = np.einsum("bq,qp,bp->b", signs, phi[j], signs)
+        ref_alpha, ref_phase = prefix_composition(signs, [q for q, _ in run], [b for _, b in run])
+        assert np.max(np.abs(alpha - ref_alpha)) <= 1e-12
+        assert np.max(np.abs(phase - ref_phase)) <= 1e-12
+        for b in rows:
+            state = init_state(n, format(b, f"0{n}b"))
+            for qubit, amp in run:
+                state = apply_displacement(state, qubit, amp)
+            assert abs(state.branches[0].alpha - alpha[b]) <= 1e-12
+            assert abs(state.branches[0].coeff - np.exp(1j * phase[b])) <= 1e-12
+
+    # The fold reads a run through the barriers inside it.
+    run = runs[0]
+    instructions = []
+    for qubit, amp in run:
+        instructions += [Barrier()] * data.draw(st.integers(0, 2)) + [Displace(qubit, amp)]
+    c, a = _fold_columns(GateSequence(n, instructions + [Barrier()]), n)
+    ref_alpha, ref_phase = prefix_composition(signs, [q for q, _ in run], [b for _, b in run])
+    assert np.max(np.abs(np.diag(c) - np.exp(1j * ref_phase))) <= 1e-12
+    assert np.max(np.abs(np.diag(a) - ref_alpha)) <= 1e-12
+    assert np.array_equal(c, np.diag(np.diag(c)))
+
+
+def fold_reference(seq: GateSequence):
+    """(C, A, support) from executing each basis column, or None if any column warns."""
+    n = seq.num_qubits
+    c = np.zeros((2**n, 2**n), dtype=complex)
+    a = np.zeros_like(c)
+    support = np.zeros(c.shape, dtype=bool)
+    for j in range(2**n):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = execute(seq, init_state(n, format(j, f"0{n}b")))
+        if any(issubclass(w.category, EntangledBusWarning) for w in caught):
+            return None
+        for br in out.branches:
+            b = int(br.basis, 2)
+            assert not support[b, j], "two bus amplitudes on one row"
+            c[b, j], a[b, j], support[b, j] = br.coeff, br.alpha, True
+    return c, a, support
+
+
+@st.composite
+def loops_then_open_run(draw):
+    """Closed loops and local gates, then an open run and a few more local gates.
+
+    A gate followed by its inverse leaves rounding residues in C, which the
+    fold thresholds where the open run materializes the bus amplitude.
+    """
+    n = draw(st.integers(1, 5))
+    qubit = st.integers(0, n - 1)
+    unitary = st.integers(0, 2**32 - 1).map(lambda s: haar_unitary_2(np.random.default_rng(s)))
+    ins = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["loop", "local", "undo"]))
+        if kind == "loop":
+            run = draw(st.lists(st.tuples(qubit, _beta), min_size=1, max_size=6))
+            ins += [Displace(q, b) for q, b in run]
+            ins += [Displace(q, -b) for q, b in draw(st.permutations(run))]
+        elif kind == "local":
+            ins.append(Local(draw(qubit), draw(unitary)))
+        else:
+            q, u = draw(qubit), draw(unitary)
+            ins += [Local(q, u), Local(q, u.conj().T)]
+    # one displacement per qubit, so no two rows' bus amplitudes nearly agree
+    late = draw(st.lists(st.tuples(qubit, st.complex_numbers(min_magnitude=0.01, max_magnitude=1.0)),
+                         min_size=1, max_size=n, unique_by=lambda t: t[0]))
+    ins += [Displace(q, b) for q, b in late]
+    ins += [Local(draw(qubit), draw(unitary)) for _ in range(draw(st.integers(0, 3)))]
+    return GateSequence(n, ins)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(seq=loops_then_open_run())
+def test_fold_matches_columns_through_the_materializing_run(seq):
+    folded, ref = _fold_columns(seq, seq.num_qubits), fold_reference(seq)
+    assert (folded is None) == (ref is None)
+    if ref is not None:
+        (c, a), (c_ref, a_ref, support) = folded, ref
+        assert not np.any((c != 0) & (np.abs(c) <= COEFF_DROP_TOL))
+        assert np.max(np.abs(c - c_ref)) <= 1e-12
+        assert np.max(np.abs(np.where(support, a - a_ref, 0))) <= 1e-12
+
+
+def test_fold_thresholds_c_where_the_bus_materializes_and_at_the_end():
+    # U then its inverse leaves rounding residues at or below COEFF_DROP_TOL
+    # off the diagonal.  At rest the fold zeroes them once, at the end; an
+    # open run zeroes them where it materializes A, and every later local
+    # gate zeroes its own.  C then has no entry in (0, COEFF_DROP_TOL], as
+    # the branch simulator keeps no such branch, and the gate on qubit 0
+    # after the open run meets one supported row per pair and still folds.
+    u = haar_unitary_2(np.random.default_rng(439))
+    undo = [Local(0, u), Local(0, u.conj().T)]
+    assert 0 < np.abs((u.conj().T @ u)[0, 1]) <= COEFF_DROP_TOL
+    open_run = [Displace(0, 0.3), Displace(1, 0.2j), Displace(1, -0.2j)]
+    for tail in ([], open_run, open_run + [Local(0, HADAMARD)]):
+        seq = GateSequence(2, undo + tail)
+        c, a = _fold_columns(seq, 2)
+        c_ref, a_ref, support = fold_reference(seq)
+        assert np.array_equal(c != 0, support)
+        assert np.max(np.abs(c - c_ref)) <= 1e-12
+        assert np.max(np.abs(np.where(support, a - a_ref, 0))) <= 1e-12
+        assert not a.any() if not tail else np.max(np.abs(a)) == pytest.approx(0.3)
