@@ -18,6 +18,10 @@ sigma_z sign, bus sequences can only generate even functions of the signs
 (constants and Z(x)Z couplings).  Phase corrections linear in a single Z
 always require a local unitary; this shapes the CNOT gadget and the
 controlled constructions below.
+
+A builder reads the coupling matrix once, as Python rows (v.v.tolist()):
+float arithmetic on Python scalars gives bit for bit what the same
+expressions give on numpy scalars, at a fraction of the cost.
 """
 
 from __future__ import annotations
@@ -114,16 +118,25 @@ class FixedRange:
 Strategy = Naive | Stepwise | Carryover | Limited | FixedRange
 
 
-def _partner_amp(active: complex, phase_coeff: float) -> complex:
-    """Partner amplitude p with 2 Im(p conj(active)) = phase_coeff.
+def _partner_amps(active: complex, phase_coeffs: list[float]) -> list[complex]:
+    """Partner amplitudes p with 2 Im(p conj(active)) = c, one per c.
 
-    p sits on the quadrature orthogonal to the active amplitude."""
-    return 1j * phase_coeff * active / (2.0 * abs(active) ** 2)
+    Each p sits on the quadrature orthogonal to the active amplitude."""
+    scale = 2.0 * abs(active) ** 2
+    return [1j * c * active / scale for c in phase_coeffs]
 
 
 def _zrot(phi: float) -> np.ndarray:
     """diag(e^{-i phi}, e^{i phi}), the phase exp(-i phi Z)."""
     return np.diag([np.exp(-1j * phi), np.exp(1j * phi)])
+
+
+# The CNOT gadget per core sign: its partner amplitude, and the Hadamard
+# with the phase correction exp(-core_sign i pi/4 Z) that closes it.
+_GADGET = {sign: (_partner_amps(1.0 + 0j, [sign * math.pi / 4])[0],
+                  HADAMARD @ _zrot(sign * math.pi / 4)) for sign in (1, -1)}
+for _, _h_corr in _GADGET.values():
+    _h_corr.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +154,7 @@ def build_cphase(q1: int, q2: int, theta: float, num_qubits: int | None = None) 
         raise ValueError("phase gate needs two distinct qubits")
     n = num_qubits if num_qubits is not None else max(q1, q2) + 1
     b1 = -1.0 + 0j
-    b2 = _partner_amp(b1, theta)
+    b2, = _partner_amps(b1, [theta])
     ins = [
         Displace(q1, b1),
         Displace(q2, b2),
@@ -173,49 +186,45 @@ def build_cnot(control: int, target: int, num_qubits: int | None = None) -> Gate
 # U_zz schedules
 # ---------------------------------------------------------------------------
 
-def _active_scale(coeffs: list[float], beta_bound: float) -> float:
-    """Magnitude for the free active amplitude of one step.
-
-    Defaults to 1; balances active against partners only when some partner
-    would exceed the bound."""
-    if not coeffs:
-        return 1.0
-    worst = max(abs(c) for c in coeffs) / 2.0  # partner magnitude at active=1 is |c|/2
-    if worst <= beta_bound:
-        return 1.0
-    return math.sqrt(worst)
-
-
 def _cycle(active: int, partners: list[int], coeffs: list[float], beta_bound: float) -> list:
     """One disconnected cycle: the active qubit against every partner, with
-    phase coefficient coeffs[i] on the pair (active, partners[i])."""
-    x = _active_scale(coeffs, beta_bound)
-    amps = [_partner_amp(x, c) for c in coeffs]
+    phase coefficient coeffs[i] on the pair (active, partners[i]).
+
+    The active magnitude x is 1, unless some partner (|c|/2 at x = 1) would
+    exceed the bound; then x balances active against partners."""
+    worst = max(map(abs, coeffs)) / 2.0
+    x = 1.0 if worst <= beta_bound else math.sqrt(worst)
+    amps = _partner_amps(x, coeffs)
     return ([Displace(active, x)] + [Displace(l, p) for l, p in zip(partners, amps)]
             + [Displace(active, -x)] + [Displace(l, -p) for l, p in zip(partners, amps)])
 
 
 def _build_naive(v: CouplingMatrix, _strategy: Naive, beta_bound: float) -> list:
-    """One four-displacement cycle per coupled pair (written out: it is the
-    innermost loop of the largest schedule)."""
+    """One four-displacement cycle per coupled pair (_cycle written out: it
+    is the innermost loop of the largest schedule).  The cycles of row m
+    share one attach and one detach while their active magnitude agrees."""
     ins = []
-    for m in range(v.n):
+    for m, row in enumerate(v.v.tolist()):
+        x_row = None
         for l in range(m + 1, v.n):
-            if v.v[m, l] != 0.0:
-                c = v.v[m, l] / 2.0
-                x = _active_scale([c], beta_bound)
-                p = _partner_amp(x, c)
-                ins += [Displace(m, x), Displace(l, p), Displace(m, -x), Displace(l, -p)]
+            if row[l] != 0.0:
+                c = row[l] / 2.0
+                worst = abs(c) / 2.0
+                x = 1.0 if worst <= beta_bound else math.sqrt(worst)
+                if x != x_row:
+                    x_row, attach, detach = x, Displace(m, x), Displace(m, -x)
+                p = 1j * c * x / (2.0 * abs(x) ** 2)
+                ins += (attach, Displace(l, p), detach, Displace(l, -p))
     return ins
 
 
 def _build_stepwise(v: CouplingMatrix, _strategy: Stepwise, beta_bound: float) -> list:
     """One disconnected cycle per qubit m, covering all pairs (m, l>m)."""
     ins = []
-    for m in range(v.n - 1):
-        partners = [l for l in range(m + 1, v.n) if v.v[m, l] != 0.0]
+    for m, row in enumerate(v.v.tolist()):
+        partners = [l for l in range(m + 1, v.n) if row[l] != 0.0]
         if partners:
-            ins += _cycle(m, partners, [v.v[m, l] / 2.0 for l in partners], beta_bound)
+            ins += _cycle(m, partners, [row[l] / 2.0 for l in partners], beta_bound)
     return ins
 
 
@@ -236,33 +245,33 @@ class CarryoverStep:
 
 
 def _carryover_plan(v: CouplingMatrix, start_amp: dict[int, float]) -> list[CarryoverStep]:
-    n = v.n
-    coupled = [q for q in range(n) if np.any(v.v[q] != 0.0)]
-    unvisited = set(coupled)
+    rows = v.v.tolist()
+    # The coupled qubits not yet visited, in ascending order.
+    unvisited = [q for q, row in enumerate(rows) if any(x != 0.0 for x in row)]
     plan: list[CarryoverStep] = []
     active: int | None = None
     active_beta = 0j
     fresh = False
     while True:
         if active is None:
-            starts = [q for q in coupled if q in unvisited
-                      and any(v.v[q, l] != 0.0 for l in unvisited if l != q)]
-            if not starts:
+            active = next((q for q in unvisited
+                           if any(rows[q][l] != 0.0 for l in unvisited if l != q)), None)
+            if active is None:
                 break
-            active = starts[0]
-            unvisited.discard(active)
+            unvisited.remove(active)
             active_beta = complex(start_amp.get(active, 1.0))
             fresh = True
-        partners = [l for l in sorted(unvisited) if v.v[active, l] != 0.0]
-        amps = [(l, _partner_amp(active_beta, v.v[active, l] / 2.0)) for l in partners]
+        row = rows[active]
+        partners = [l for l in unvisited if row[l] != 0.0]
+        amps = list(zip(partners, _partner_amps(active_beta, [row[l] / 2.0 for l in partners])))
         carried = partners[0] if partners else None
         plan.append(CarryoverStep(active, active_beta, amps, carried, fresh))
         fresh = False
         if carried is None:
             active = None
         else:
-            unvisited.discard(carried)
-            active_beta = dict(amps)[carried]
+            unvisited.remove(carried)
+            active_beta = amps[0][1]
             active = carried
     return plan
 
@@ -293,9 +302,8 @@ def solve_carryover(v: CouplingMatrix, beta_bound: float = DEFAULT_BETA_BOUND) -
         ch["odd" if depth % 2 == 0 else "even"].extend(abs(p) for _, p in step.partners)
         depth += 1
     start_amp: dict[int, float] = {}
-    for ch in chains:
-        amps = ch["even"] + ch["odd"]
-        if amps and max(amps) > beta_bound and ch["even"] and ch["odd"]:
+    for ch in chains:  # "even" always holds the chain's first amplitude
+        if ch["odd"] and max(max(ch["even"]), max(ch["odd"])) > beta_bound:
             start_amp[ch["start"]] = math.sqrt(max(ch["odd"]) / max(ch["even"]))
     if start_amp:
         plan = _carryover_plan(v, start_amp)
@@ -314,6 +322,19 @@ def _build_carryover(v: CouplingMatrix, _strategy: Carryover | FixedRange,
     return ins
 
 
+def _product_miss(v: CouplingMatrix, a: np.ndarray, b: np.ndarray) -> tuple | None:
+    """The first (m, l, V[m,l], a[m] b[l]), row-major over m < l, where the
+    product misses the coupling by more than 1e-12 relative; else None."""
+    m, l = np.triu_indices(v.n, 1)
+    want = v.v[m, l]
+    got = a[m] * b[l]
+    miss = np.flatnonzero(np.abs(want - got) > 1e-12 * np.maximum(1.0, np.abs(want)))
+    if not miss.size:
+        return None
+    k = miss[0]
+    return int(m[k]), int(l[k]), want[k], got[k]
+
+
 def decompose_limited(v: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Recover row/column constants with V[m,l] = a[m] b[l] for m < l.
 
@@ -324,16 +345,15 @@ def decompose_limited(v: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     violated entry.
     """
     n = v.n
+    rows = v.v.tolist()
     a = np.zeros(n)
     b = np.zeros(n)
-    assigned_a = np.zeros(n, dtype=bool)
-    assigned_b = np.zeros(n, dtype=bool)
+    assigned_a = [False] * n
+    assigned_b = [False] * n
     edges: dict[int, list[int]] = {}
-    for m in range(n - 1):
-        for l in range(m + 1, n):
-            if v.v[m, l] != 0.0:
-                edges.setdefault(m, []).append(l)
-                edges.setdefault(~l, []).append(m)  # ~l tags column nodes
+    for m, l in np.argwhere(np.triu(v.v, 1)).tolist():  # row-major
+        edges.setdefault(m, []).append(l)
+        edges.setdefault(~l, []).append(m)  # ~l tags column nodes
 
     for root in range(n - 1):
         if root not in edges or assigned_a[root]:
@@ -346,26 +366,24 @@ def decompose_limited(v: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
             if node >= 0:
                 for l in edges.get(node, ()):
                     if not assigned_b[l]:
-                        b[l] = v.v[node, l] / a[node]
+                        b[l] = rows[node][l] / a[node]
                         assigned_b[l] = True
                         frontier.append(~l)
             else:
                 col = ~node
                 for m in edges.get(node, ()):
                     if not assigned_a[m]:
-                        a[m] = v.v[m, col] / b[col]
+                        a[m] = rows[m][col] / b[col]
                         assigned_a[m] = True
                         frontier.append(m)
 
-    for m in range(n - 1):
-        for l in range(m + 1, n):
-            want = v.v[m, l]
-            got = a[m] * b[l]
-            if abs(want - got) > 1e-12 * max(1.0, abs(want)):
-                raise NotProductFormError(
-                    f"couplings are not product-structured: V[{m},{l}]={want} "
-                    f"but row/column constants give {got}"
-                )
+    miss = _product_miss(v, a, b)
+    if miss is not None:
+        m, l, want, got = miss
+        raise NotProductFormError(
+            f"couplings are not product-structured: V[{m},{l}]={want} "
+            f"but row/column constants give {got}"
+        )
     # One global rescale keeps the two constant sets comparable in size.
     ma, mb = np.max(np.abs(a)), np.max(np.abs(b))
     if ma > 0 and mb > 0:
@@ -380,19 +398,16 @@ def _build_limited(v: CouplingMatrix, strategy: Limited, _beta_bound: float) -> 
         b = np.asarray(strategy.b, dtype=float)
         if a.shape != (v.n,) or b.shape != (v.n,):
             raise InfeasibleStrategyError("limited constants must have one entry per qubit")
-        for m in range(v.n - 1):
-            for l in range(m + 1, v.n):
-                if abs(v.v[m, l] - a[m] * b[l]) > 1e-12 * max(1.0, abs(v.v[m, l])):
-                    raise NotProductFormError(
-                        f"supplied constants do not reproduce V[{m},{l}]"
-                    )
+        miss = _product_miss(v, a, b)
+        if miss is not None:
+            raise NotProductFormError(f"supplied constants do not reproduce V[{miss[0]},{miss[1]}]")
     else:
         a, b = decompose_limited(v)
     n = v.n
     # Pair phase is 2 u_l w_m with u on position, w on momentum; target is
     # V[m,l]/2 = a[m] b[l] / 2, so u_l = b[l]/2 and w_m = a[m]/2.
-    u = b / 2.0
-    w = a / 2.0
+    u = (b / 2.0).tolist()
+    w = (a / 2.0).tolist()
     ins = []
     for l in range(1, n):
         if u[l] != 0.0:
@@ -473,13 +488,12 @@ def build_uzz(v: CouplingMatrix, strategy: Strategy,
     lower the count.
     """
     name, _, build = _schedule(strategy)
-    seq = GateSequence(v.n, build(v, strategy, beta_bound))
-    seq.metadata = {
+    ins = build(v, strategy, beta_bound)  # displacements only; the constructor recounts
+    return GateSequence(v.n, ins, {
         "strategy": name,
-        "bus_ops": count_ops(seq)["bus"],
+        "bus_ops": len(ins),
         "bus_ops_dense": dense_formula_count(strategy, v.n),
-    }
-    return seq
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -535,15 +549,14 @@ def _cnot_gadget(ancilla: int, common: int, core_sign: int) -> list:
     the ancilla phase corrections cancel, which is how every controlled
     builder stays exact without extra instructions.
     """
-    p = _partner_amp(1.0 + 0j, core_sign * math.pi / 4)
-    corr = _zrot(core_sign * math.pi / 4)
+    p, h_corr = _GADGET[core_sign]
     return [
         Local(common, HADAMARD, "h"),
         Displace(ancilla, 1.0 + 0j),
         Displace(common, p),
         Displace(ancilla, -1.0 + 0j),
         Displace(common, -p),
-        Local(common, HADAMARD @ corr, "h+phase"),
+        Local(common, h_corr, "h+phase"),
     ]
 
 
@@ -569,13 +582,13 @@ def make_controlled(v: CouplingMatrix, ancilla: int = 0, axis: str = "z",
         raise ValueError(f"ancilla index {ancilla} infeasible for {n_sys} system qubits")
     sys_q = _system_qubits(n, ancilla)
     ins = []
-    for m in range(n_sys - 1):
-        partners = [l for l in range(m + 1, n_sys) if v.v[m, l] != 0.0]
+    for m, row in enumerate(v.v.tolist()):
+        partners = [l for l in range(m + 1, n_sys) if row[l] != 0.0]
         if not partners:
             continue
         common = sys_q[m]
         for half_sign, core_sign in ((1, 1), (-1, -1)):
-            coeffs = [half_sign * v.v[m, l] / 4.0 for l in partners]
+            coeffs = [half_sign * row[l] / 4.0 for l in partners]
             ins += _cycle(common, [sys_q[l] for l in partners], coeffs, beta_bound)
             ins += _cnot_gadget(ancilla, common, core_sign)
         ins.append(Barrier(f"cycle-{m}"))
@@ -618,9 +631,8 @@ def make_controlled_locals(us: list[np.ndarray], ancilla: int = 0) -> GateSequen
     sys_q = _system_qubits(n, ancilla)
     splits = [_su2_split(u) for u in us]
 
-    p_corr = _zrot(math.pi / 4)
     q_corr = _zrot(-math.pi / 4)
-    core_amp = _partner_amp(1.0 + 0j, math.pi / 4)
+    core_amp, h_corr = _GADGET[1]
 
     layer1 = [
         Local(sys_q[m], HADAMARD @ _zrot(-eta / 2.0) @ basis.conj().T, "prep")
@@ -630,7 +642,7 @@ def make_controlled_locals(us: list[np.ndarray], ancilla: int = 0) -> GateSequen
     cycle1 += [Displace(q, core_amp) for q in sys_q]
     cycle1.append(Displace(ancilla, -1.0 + 0j))
     cycle1 += [Displace(q, -core_amp) for q in sys_q]
-    layer2 = [Local(q, HADAMARD @ p_corr, "h+phase") for q in sys_q]
+    layer2 = [Local(q, h_corr, "h+phase") for q in sys_q]
     layer3 = [
         Local(sys_q[m], HADAMARD @ _zrot(eta / 2.0), "half-power")
         for m, (_, _, eta) in enumerate(splits)

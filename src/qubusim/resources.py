@@ -262,18 +262,16 @@ def _dense_coupling(n: int, rng: np.random.Generator):
 
 
 def _product_coupling(n: int):
-    v = np.zeros((n, n))
-    for m in range(n):
-        for l in range(m + 1, n):
-            v[m, l] = v[l, m] = math.exp(-abs(m - l))
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    v = np.where(dist > 0, np.array([math.exp(-d) for d in range(n)])[dist], 0.0)
     return CouplingMatrix(n, v)
 
 
 def _banded_coupling(n: int, p: int, rng: np.random.Generator):
+    """Uniform [0.3, 1) couplings on 1 <= l - m <= p, drawn in row-major order."""
     v = np.zeros((n, n))
-    for m in range(n):
-        for l in range(m + 1, min(m + p, n - 1) + 1):
-            v[m, l] = v[l, m] = rng.uniform(0.3, 1.0)
+    m, l = np.nonzero(np.triu(np.tri(n, k=p, dtype=bool), 1))
+    v[m, l] = v[l, m] = rng.uniform(0.3, 1.0, size=m.size)
     return CouplingMatrix(n, v)
 
 

@@ -4,8 +4,11 @@ A GateSequence is an ordered list of three instruction kinds:
 
 * Displace(qubit, beta): one controlled displacement D(beta * sigma_z) of the
   bus, the unit of cost in every operation count.
-* Local(qubit, u, label): an arbitrary 2x2 unitary on one qubit.
+* Local(qubit, u, label): an arbitrary 2x2 unitary on one qubit, kept as a
+  read-only copy checked once, at construction.
 * Barrier(label): structural marker, carries no semantics and no cost.
+
+A GateSequence checks qubit ranges and amplitudes once, when constructed.
 
 The executor folds a sequence through the hybrid-state simulator.
 effective_unitary reconstructs the compiled qubit unitary by folding all 2^n
@@ -30,6 +33,7 @@ from __future__ import annotations
 import cmath
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -87,7 +91,9 @@ class Local:
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _check_unitary(self.u))
+        u = _check_unitary(np.array(self.u, dtype=complex))  # a copy: the caller's stays writable
+        u.setflags(write=False)
+        object.__setattr__(self, "u", u)
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,12 +113,19 @@ class GateSequence:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        n, bus = self.num_qubits, 0
         for ins in self.instructions:
-            q = getattr(ins, "qubit", None)
-            if q is not None and not 0 <= q < self.num_qubits:
-                raise ValueError(f"instruction qubit {q} out of range")
+            kind = type(ins)
+            if kind is Displace:
+                bus += 1
+                if not cmath.isfinite(ins.beta):
+                    raise ValueError("displacement amplitude must be finite")
+            elif kind is Barrier:
+                continue
+            if not 0 <= ins.qubit < n:
+                raise ValueError(f"instruction qubit {ins.qubit} out of range")
         declared = self.metadata.get("bus_ops")
-        if declared is not None and declared != count_ops(self)["bus"]:
+        if declared is not None and declared != bus:
             raise ValueError("declared bus-operation count disagrees with instructions")
 
     def extend(self, other: "GateSequence") -> None:
@@ -123,8 +136,8 @@ class GateSequence:
 
 def count_ops(seq: GateSequence) -> dict:
     """{'bus': #Displace, 'local': #Local, 'total': sum}; barriers are free."""
-    bus = sum(1 for i in seq.instructions if isinstance(i, Displace))
-    local = sum(1 for i in seq.instructions if isinstance(i, Local))
+    kinds = Counter(map(type, seq.instructions))
+    bus, local = kinds[Displace], kinds[Local]
     return {"bus": bus, "local": local, "total": bus + local}
 
 
@@ -285,7 +298,7 @@ def _fold_columns(seq: GateSequence, n: int) -> tuple[np.ndarray, np.ndarray] | 
             runs.append(len(starts))
             continue
         end_run()
-        gates.append((ins.qubit, _check_unitary(ins.u)))
+        gates.append((ins.qubit, ins.u))
     end_run()
 
     dim = 2**n
@@ -445,10 +458,7 @@ def sequence_from_json(doc: dict) -> GateSequence:
     for item in doc["instructions"]:
         op = item["op"]
         if op == "disp":
-            beta = complex(*item["beta"])
-            if not np.isfinite(beta):
-                raise ValueError("displacement amplitude must be finite")
-            instructions.append(Displace(int(item["q"]), beta))
+            instructions.append(Displace(int(item["q"]), complex(*item["beta"])))
         elif op == "local":
             u = np.array(
                 [[complex(*item["u"][r][c]) for c in range(2)] for r in range(2)]

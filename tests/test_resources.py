@@ -7,6 +7,8 @@ import pytest
 
 from qubusim.resources import (
     CountFormula,
+    _banded_coupling,
+    _product_coupling,
     crossover_n,
     formula_count,
     max_n_for_budget,
@@ -14,6 +16,8 @@ from qubusim.resources import (
     total_ops_precision,
     verify_counts,
 )
+
+from oracles import banded_coupling, product_coupling
 
 
 def count(kind, **params):
@@ -116,3 +120,15 @@ def test_report_serialization():
     assert "uzz_stepwise" in csv
     js = report.to_json()
     assert '"case"' in js
+
+
+def test_audit_couplings_match_the_loop_generators_draw_for_draw():
+    # The audit's couplings are built from arrays; the loops in oracles draw
+    # one uniform per band entry in row-major order.  Equal matrices and an
+    # equal next draw mean the array draw consumed the same stream.
+    for n in range(1, 14):
+        assert np.array_equal(_product_coupling(n).v, product_coupling(n))
+        for p in range(1, n + 1):
+            rng_a, rng_b = np.random.default_rng(907 + n), np.random.default_rng(907 + n)
+            assert np.array_equal(_banded_coupling(n, p, rng_a).v, banded_coupling(n, p, rng_b))
+            assert rng_a.uniform() == rng_b.uniform()

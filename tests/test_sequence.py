@@ -64,6 +64,38 @@ def test_sequence_metadata_count_validation():
         GateSequence(2, [Displace(0, 0.1)], {"bus_ops": 3})
 
 
+@pytest.mark.parametrize("beta", [complex(np.nan, 0.0), complex(0.0, np.inf), -np.inf,
+                                  np.complex128(complex(1.0, np.nan))])
+def test_sequence_rejects_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="finite"):
+        GateSequence(2, [Local(1, HADAMARD), Displace(0, 0.1), Barrier(), Displace(1, beta)])
+
+
+def test_local_keeps_a_read_only_copy():
+    u = HADAMARD.copy()
+    loc = Local(0, u)
+    with pytest.raises(ValueError):
+        loc.u[0, 0] = 2.0
+    u[0, 0] = 2.0  # the caller's array stays writable and apart from the gate
+    assert HADAMARD.flags.writeable
+    assert np.array_equal(loc.u, HADAMARD)
+    with pytest.raises(ValueError, match="unitary"):
+        Local(0, u)
+
+
+def test_fold_does_not_check_locals_again(monkeypatch):
+    import qubusim.sequence as sequence
+
+    seq = build_trotter_step(_model(3, 433), 0.3, order=2, controlled=0)
+    assert count_ops(seq)["local"] > 0
+    calls = []
+    check = sequence._check_unitary
+    monkeypatch.setattr(sequence, "_check_unitary", lambda u: calls.append(u) or check(u))
+    _fold_columns(seq, seq.num_qubits)
+    effective_unitary(seq)
+    assert calls == []
+
+
 def test_execute_identity_sequence():
     s = init_state(2, "10")
     out = execute(GateSequence(2, [Barrier(), Local(0, np.eye(2))]), s)
@@ -270,7 +302,9 @@ def test_run_open_above_rounding_bound_takes_the_exact_path(recwarn):
 
 
 def test_non_finite_beta_raises_before_a_later_bad_qubit():
-    seq = GateSequence(2, [Displace(0, complex(np.nan, 0.0)), Displace(1, 0.1)])
+    # The constructor rejects a NaN amplitude, so it is edited in afterwards.
+    seq = GateSequence(2, [Displace(0, 0.1), Displace(1, 0.1)])
+    seq.instructions[0] = Displace(0, complex(np.nan, 0.0))
     with pytest.raises(ValueError, match="finite"):
         _fold_columns(seq, 1)
     seq.instructions.append(Displace(5, 0.1))
