@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -522,9 +523,15 @@ def conjugate_to_axis(seq: GateSequence, axis: str) -> GateSequence:
 
 def _to_axis(instructions: list, qubits, axis: str) -> list:
     """Wrap instructions in the basis change W^dag ... W on each qubit."""
+    return ([_axis_local(q, axis, True) for q in qubits] + list(instructions)
+            + [_axis_local(q, axis, False) for q in qubits])
+
+
+@cache
+def _axis_local(qubit: int, axis: str, to_axis: bool) -> Local:
+    """W^dag (to the axis) or W (back) on one qubit, built once and shared."""
     w = _W_AXIS[axis]
-    return ([Local(q, w.conj().T, f"to-{axis}") for q in qubits] + list(instructions)
-            + [Local(q, w, f"from-{axis}") for q in qubits])
+    return Local(qubit, w.conj().T, f"to-{axis}") if to_axis else Local(qubit, w, f"from-{axis}")
 
 
 def build_u0(eps: np.ndarray, tau: float, num_qubits: int | None = None) -> GateSequence:

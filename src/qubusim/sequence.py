@@ -12,20 +12,19 @@ A GateSequence checks qubit ranges and amplitudes once, when constructed.
 
 The executor folds a sequence through the hybrid-state simulator.
 effective_unitary reconstructs the compiled qubit unitary by folding all 2^n
-basis columns through the sequence as two arrays (branch amplitude and bus
-amplitude per basis state and column); it falls back to executing the
-columns one at a time when a local gate hits a qubit entangled with the bus.
-The local gates cut the sequence into displacement runs, and all runs are
-composed together from per-qubit running sums: a run leaves its net
-displacement per qubit and its enclosed areas as Z_q Z_p phases (Sorensen
-and Molmer, PRA 62, 022311 (2000)), read on each basis state through the
-sign table.  The bus-amplitude array stays at rest, unmaterialized, while
-every run closes before the next local gate, as the compiled loops do: a run
-counts as closed when its net displacement is within the rounding bound of
-its own sum, and then costs one phase per basis state.  While the bus is at
-rest the amplitudes are thresholded once, not after every local gate.
-product_unitary multiplies the folds of parts that each return the bus to
-rest, folding a repeated part once.
+basis columns through the sequence as one array of branch amplitudes, one
+branch per basis state and column.  The local gates cut the sequence into
+displacement runs, and all runs are composed together from per-qubit
+running sums S of the betas from the start of the sequence: the bus
+amplitude of basis state b is s_b . S, and a run imprints its enclosed
+areas, cross terms with the displacement left by earlier runs included, as
+Z_q Z_p phases (Sorensen and Molmer, PRA 62, 022311 (2000)), read on each
+basis state through the sign table.  A run costs one phase per basis state
+and a local gate one 2x2 product.  A local gate on a qubit the bus is
+displaced on would mix two bus amplitudes, and then effective_unitary
+executes the columns one at a time instead.  product_unitary multiplies the
+folds of parts that each return the bus to rest, folding a repeated part
+once.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ __all__ = [
 
 SEQUENCE_FORMAT_VERSION = 1
 MAX_QUBITS = 10  # largest register effective_unitary reconstructs
-_EPS = float(np.finfo(float).eps)
 
 
 class EntangledBusWarning(RuntimeWarning):
@@ -129,8 +127,11 @@ class GateSequence:
             raise ValueError("declared bus-operation count disagrees with instructions")
 
     def extend(self, other: "GateSequence") -> None:
+        """Append other's instructions; a declared bus-operation count grows with them."""
         if other.num_qubits != self.num_qubits:
             raise ValueError("register sizes differ")
+        if self.metadata.get("bus_ops") is not None:
+            self.metadata["bus_ops"] += count_ops(other)["bus"]
         self.instructions.extend(other.instructions)
 
 
@@ -182,15 +183,17 @@ def effective_unitary(seq: GateSequence, n: int | None = None, tol: float = 1e-9
     """Compiled qubit unitary, reconstructed from all 2^n basis inputs.
 
     Every basis column is folded through the sequence in one array pass
-    (see _fold_columns).  When a local gate hits a qubit still entangled with
-    the bus, the inputs no longer map to one branch per basis state and the
-    call falls back to executing the columns one at a time, which emits
-    EntangledBusWarning.
+    (see _fold_columns).  When a local gate meets a qubit the bus is
+    displaced on (running beta sum above MERGE_TOL / 2), the fold declines
+    and the call executes the columns one at a time through the branch
+    simulator.  That path emits EntangledBusWarning only where a local gate
+    truly mixes two supported branches with different bus amplitudes; a
+    gate that meets one supported row per pair runs there without warning.
 
     Requires the sequence to leave the bus disentangled on every basis input
     and to return it to the same amplitude for all of them, so the register
-    factors out with consistent relative phases; a fold whose bus amplitude
-    never left rest meets this exactly and skips the check.  Limited to
+    factors out with consistent relative phases; a fold that ends with the
+    bus at rest meets this exactly and skips the check.  Limited to
     n <= MAX_QUBITS.
     """
     if n is None:
@@ -240,50 +243,33 @@ def product_unitary(parts: list[GateSequence], n: int) -> np.ndarray:
 
 
 def _fold_columns(seq: GateSequence, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Fold all basis columns at once: (C, A), or None if a local is entangled.
+    """Fold all basis columns at once: (C, A), or None if a local meets a displaced qubit.
 
     C[b, j] is the amplitude of basis b for input column j and A[b, j] the
-    bus amplitude of that branch: one branch per (b, j), which stays true
-    while no local gate mixes two rows in the support with different bus
-    amplitudes.  A displacement adds s_q(b) beta to A and the phase
-    Im(s_q(b) beta conj(A)) to C, as apply_displacement does.  The local
-    gates cut the sequence into displacement runs; _compose_runs gives the
-    pair phases Phi and net displacements B of all of them in one pass, and
-    through the sign table row b of a run moves the bus by s_b . B and
-    gains the phase s_b^T Phi s_b, so a run touches C and A once.  A local
-    gate mixes row b with row b ^ q; the pair keeps the bus amplitude of its
-    row in the support.
+    bus amplitude of that branch.  While every local gate meets a qubit the
+    bus is not displaced on, the bus amplitude of row b is s_b . S in every
+    column, with S the per-qubit sum of the betas so far: one branch per
+    (b, j).  The local gates cut the sequence into displacement runs;
+    _compose_runs gives the pair phases Phi and the sums S after each of
+    them in one pass, and through the sign table row b of a run gains the
+    phase s_b^T Phi s_b, which already holds the cross terms with the
+    displacement left by earlier runs.  So a run costs one phase per basis
+    state, and a local gate one 2x2 product on the rows of its qubit.
 
-    A stays at rest (None, zero on every row) while every run closes: a run
-    of L displacements counts as closed when its net displacement on every
-    row lies within (L - 1) (eps / 2) sum |beta|, the rounding bound of the
-    sum, and then only rotates the rows of C, and a local gate cannot meet
-    an entangled qubit.  The first run still open where a local gate or the
-    sequence end applies it materializes A, and from there every run adds
-    its displacement to A and the phase Im(alpha conj(A)) to C.  The A
-    returned is zero when it never left rest.
+    A local gate on qubit q mixes row b with row b ^ q, whose bus amplitudes
+    differ by 2 |S_q|.  When that exceeds MERGE_TOL the two branches would
+    not merge, and the fold returns None; effective_unitary then executes
+    the columns one at a time.  The A returned is the read-only broadcast
+    of s_b . S over the columns, zero when the bus ends at rest.
 
-    Amplitudes at or below COEFF_DROP_TOL are zeroed, as merge_branches
-    drops them.  While A is at rest nothing reads the support, so C is
-    thresholded once, where A materializes or else at the end; from
-    materialization on, after every local gate.
+    Amplitudes at or below COEFF_DROP_TOL are zeroed once, at the end, as
+    merge_branches drops them.
     """
     qubits: list[int] = []
     betas: list[complex] = []
     runs: list[int] = []        # index among the non-empty runs, per displacement
     starts: list[int] = []      # per non-empty run: the local gate it precedes
-    bounds: list[float] = []    # per non-empty run: the rounding bound of its sum
     gates: list[tuple[int, np.ndarray]] = []
-    first = 0                   # first displacement of the pending run
-
-    def end_run():
-        nonlocal first
-        if len(betas) > first:
-            starts.append(len(gates))
-            bounds.append((len(betas) - first - 1) * (_EPS / 2)
-                          * sum(abs(b) for b in betas[first:]))
-            first = len(betas)
-
     for ins in seq.instructions:
         if isinstance(ins, Barrier):
             continue
@@ -293,60 +279,36 @@ def _fold_columns(seq: GateSequence, n: int) -> tuple[np.ndarray, np.ndarray] | 
             beta = complex(ins.beta)
             if not cmath.isfinite(beta):
                 raise ValueError("displacement amplitude must be finite")
+            if not starts or starts[-1] != len(gates):
+                starts.append(len(gates))
             qubits.append(ins.qubit)
             betas.append(beta)
-            runs.append(len(starts))
-            continue
-        end_run()
-        gates.append((ins.qubit, ins.u))
-    end_run()
+            runs.append(len(starts) - 1)
+        else:
+            gates.append((ins.qubit, ins.u))
 
     dim = 2**n
     signs, pairs = _sign_tables(n)
     if starts:
-        phi, net = _compose_runs(n, len(starts), qubits, betas, runs)
-        alpha = signs @ net.T                                 # (row, run): s_b . B
+        phi, sums = _compose_runs(n, len(starts), qubits, betas, runs)
         phase = pairs @ phi.reshape(len(starts), n * n).T     # (row, run): s_b^T Phi s_b
-        closed = np.max(np.abs(alpha), axis=0) <= bounds
-        turns = phase.any(axis=0)
-
+    bus = np.zeros(n, dtype=complex)    # S at the current gate
     c = np.eye(dim, dtype=complex)
-    a = None
     k = 0                       # next non-empty run
     for g in range(len(gates) + 1):
         if k < len(starts) and starts[k] == g:
-            if a is None and closed[k]:
-                if turns[k]:
-                    c *= np.exp(1j * phase[:, k])[:, None]
-            else:
-                if a is None:
-                    c[np.abs(c) <= COEFF_DROP_TOL] = 0
-                    a = np.zeros((dim, dim), dtype=complex)
-                if turns[k] or alpha[:, k].any():
-                    c *= np.exp(1j * ((alpha[:, k, None] * a.conj()).imag + phase[:, k, None]))
-                    a += alpha[:, k, None]
+            c *= np.exp(1j * phase[:, k])[:, None]
+            bus = sums[k]
             k += 1
         if g == len(gates):
             break
         qubit, u = gates[g]
-        shift = n - 1 - qubit
+        if abs(bus[qubit]) > MERGE_TOL / 2:
+            return None
         # rows grouped as (higher bits, bit of the qubit, lower bits and column)
-        c3 = c.reshape(dim >> (shift + 1), 2, -1)
-        if a is not None:
-            a3 = a.reshape(c3.shape)
-            in0 = np.abs(c3[:, 0]) > COEFF_DROP_TOL
-            in1 = np.abs(c3[:, 1]) > COEFF_DROP_TOL
-            if np.any(in0 & in1 & (np.abs(a3[:, 0] - a3[:, 1]) > MERGE_TOL)):
-                return None
-            a3[:] = np.where(in0, a3[:, 0], a3[:, 1])[:, None]
-        c = u @ c3
-        if a is not None:
-            c[np.abs(c) <= COEFF_DROP_TOL] = 0
-        c = c.reshape(dim, dim)
-    if a is None:
-        c[np.abs(c) <= COEFF_DROP_TOL] = 0
-        a = np.zeros((dim, dim), dtype=complex)
-    return c, a
+        c = (u @ c.reshape(dim >> (n - qubit), 2, -1)).reshape(dim, dim)
+    c[np.abs(c) <= COEFF_DROP_TOL] = 0
+    return c, np.broadcast_to((signs @ bus)[:, None], (dim, dim))
 
 
 @cache
@@ -363,18 +325,18 @@ def _sign_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _compose_runs(n: int, n_runs: int, qubits: list[int], betas: list[complex],
                   runs: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Pair phases Phi, shape (n_runs, n, n), and net displacements B, (n_runs, n).
+    """Pair phases Phi, shape (n_runs, n, n), and running sums S, (n_runs, n).
 
     Displacement i moves the bus by betas[i] on qubit qubits[i] in run
-    runs[i], a non-decreasing index below n_runs.  B[r, q] sums
-    run r's betas on qubit q, and Phi[r, q, p] sums Im(beta_i conj(B_p))
-    over run r's displacements i on qubit q, with B_p the run's sum on
-    qubit p before i.  By D(x) D(y) = exp((x conj(y) - conj(x) y)/2)
-    D(x + y), a row with signs s then moves the bus by s . B[r] and gains
-    the phase s^T Phi[r] s (Sorensen and Molmer, PRA 62, 022311 (2000));
-    the q = p terms are its row-independent part.  The per-qubit running
-    sums are one prefix sum over the whole sequence, read from where each
-    run starts.
+    runs[i], a non-decreasing index below n_runs.  S[r, q] sums the betas
+    on qubit q from the start of the sequence to the end of run r, and
+    Phi[r, q, p] sums Im(beta_i conj(S_p)) over run r's displacements i on
+    qubit q, with S_p the sum on qubit p before i.  By D(x) D(y) =
+    exp((x conj(y) - conj(x) y)/2) D(x + y), a row with signs s whose bus
+    sits at s . S when run r starts gains the phase s^T Phi[r] s and ends
+    at s . S[r] (Sorensen and Molmer, PRA 62, 022311 (2000)); the q = p
+    terms are its row-independent part.  All of it is one prefix sum over
+    the whole sequence.
     """
     q = np.array(qubits, dtype=np.intp)
     r = np.array(runs, dtype=np.intp)
@@ -382,11 +344,10 @@ def _compose_runs(n: int, n_runs: int, qubits: list[int], betas: list[complex],
     steps = np.zeros((len(q) + 1, n), dtype=complex)
     steps[np.arange(1, len(q) + 1), q] = beta
     sums = np.cumsum(steps, axis=0)        # sums[i]: per-qubit sum of the first i betas
-    first = np.searchsorted(r, np.arange(n_runs + 1))  # where each run starts
-    before = sums[:-1] - sums[first[r]]
     phi = np.zeros((n_runs * n, n))
-    np.add.at(phi, r * n + q, (beta[:, None] * before.conj()).imag)
-    return phi.reshape(n_runs, n, n), sums[first[1:]] - sums[first[:-1]]
+    np.add.at(phi, r * n + q, (beta[:, None] * sums[:-1].conj()).imag)
+    ends = np.searchsorted(r, np.arange(1, n_runs + 1))  # one past each run's last displacement
+    return phi.reshape(n_runs, n, n), sums[ends]
 
 
 def _folded_residuals(c: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray:

@@ -97,6 +97,15 @@ def test_conjugate_carryover_uzz_to_yy():
     assert phase_aligned_distance(effective_unitary(seq, n), sla.expm(1j * h)) < 1e-9
 
 
+def test_conjugate_shares_its_basis_change_locals():
+    # Local is immutable, so each (qubit, axis, direction) gate is built once.
+    a, b = (conjugate_to_axis(build_cphase(0, 1, theta), "y") for theta in (0.2, 0.7))
+    ends = lambda seq: seq.instructions[:2] + seq.instructions[-2:]
+    assert all(x is y for x, y in zip(ends(a), ends(b)))
+    assert [ins.label for ins in ends(a)] == ["to-y", "to-y", "from-y", "from-y"]
+    assert np.array_equal(a.instructions[0].u, a.instructions[-2].u.conj().T)
+
+
 def test_conjugate_rejects_non_diagonal_sequences():
     with pytest.raises(ValueError):
         conjugate_to_axis(build_cnot(0, 1), "x")
