@@ -19,9 +19,10 @@ sigma_z sign, bus sequences can only generate even functions of the signs
 always require a local unitary; this shapes the CNOT gadget and the
 controlled constructions below.
 
-A builder reads the coupling matrix once, as Python rows (v.v.tolist()):
-float arithmetic on Python scalars gives bit for bit what the same
-expressions give on numpy scalars, at a fraction of the cost.
+A builder emits the arrays a GateSequence stores, not one object per
+displacement: schedules of disconnected cycles as whole arrays (_cycles),
+the others from Python rows (v.v.tolist()), converted once.  Either way
+each amplitude is bit for bit its scalar expression, signed zeros included.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .bcs import BCSModel, CouplingMatrix
 from .resources import _FORMULAS, _formula_args
-from .sequence import Barrier, Displace, GateSequence, Local, count_ops
+from .sequence import Barrier, GateSequence, Local, _joined, count_ops
 
 __all__ = [
     "Naive",
@@ -132,12 +133,61 @@ def _zrot(phi: float) -> np.ndarray:
     return np.diag([np.exp(-1j * phi), np.exp(1j * phi)])
 
 
-# The CNOT gadget per core sign: its partner amplitude, and the Hadamard
-# with the phase correction exp(-core_sign i pi/4 Z) that closes it.
-_GADGET = {sign: (_partner_amps(1.0 + 0j, [sign * math.pi / 4])[0],
-                  HADAMARD @ _zrot(sign * math.pi / 4)) for sign in (1, -1)}
-for _, _h_corr in _GADGET.values():
-    _h_corr.setflags(write=False)
+# The CNOT gadget's partner amplitude per core sign.
+_CORE_AMP = {sign: _partner_amps(1.0 + 0j, [sign * math.pi / 4])[0] for sign in (1, -1)}
+
+
+@cache
+def _gadget_locals(qubit: int, core_sign: int) -> tuple[Local, Local]:
+    """The CNOT gadget's locals on one qubit, built once: its Hadamard, and
+    the Hadamard with the phase correction exp(-core_sign i pi/4 Z) that
+    closes it.  The gadget is CNOT(ancilla -> qubit) up to the phase
+    exp(-core_sign i pi/4 (1 - Z_a)); two gadgets with opposite core signs
+    cancel it, which keeps every controlled builder exact."""
+    return (Local(qubit, HADAMARD, "h"),
+            Local(qubit, HADAMARD @ _zrot(core_sign * math.pi / 4), "h+phase"))
+
+
+def _cycles(active, x, owner, partners, p) -> tuple[np.ndarray, np.ndarray]:
+    """Qubits and betas of disconnected cycles, one after another: cycle i
+    attaches active[i] at the real x[i], each partner j with owner[j] == i
+    (non-decreasing, at least one per cycle) at p[j], then detaches them
+    all in the same order."""
+    k = np.bincount(owner, minlength=len(active))
+    first = np.cumsum(k) - k                       # first pair of each cycle
+    start = 2 * (first + np.arange(len(active)))   # slot of each attach
+    attach = start[owner] + 1 + np.arange(len(owner)) - first[owner]
+    detach = attach + k[owner] + 1
+    qubits = np.empty(2 * (len(owner) + len(active)), dtype=np.intp)
+    betas = np.empty(len(qubits), dtype=complex)
+    qubits[start] = qubits[start + k + 1] = active
+    betas[start], betas[start + k + 1] = x, -np.asarray(x)
+    qubits[attach] = qubits[detach] = partners
+    betas[attach], betas[detach] = p, -p
+    return qubits, betas
+
+
+def _opens(rows: np.ndarray) -> np.ndarray:
+    """True where the non-decreasing index array rows takes a new value."""
+    return np.concatenate((rows[:1] >= 0, rows[1:] != rows[:-1]))
+
+
+def _cycle_amps(owner: np.ndarray, c: np.ndarray, beta_bound: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Active magnitude x per cycle and partner amplitude p per pair, for
+    phase coefficient c[j] on (active of cycle owner[j], partner j).
+
+    x is 1, unless some partner (|c|/2 at x = 1) would exceed the bound;
+    then x balances active against partners.  p is _partner_amps(x, [c])
+    bit for bit, 0 + i c x / 2x^2 (float_power calls the libm pow of **).
+    """
+    first = np.flatnonzero(_opens(owner))
+    worst = np.maximum.reduceat(np.abs(c), first) / 2.0
+    x = np.where(worst <= beta_bound, 1.0, np.sqrt(worst))
+    xp = x[owner]
+    p = np.zeros(len(c), dtype=complex)
+    p.imag = c * xp / (2.0 * np.float_power(xp, 2.0))
+    return x, p
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +206,8 @@ def build_cphase(q1: int, q2: int, theta: float, num_qubits: int | None = None) 
     n = num_qubits if num_qubits is not None else max(q1, q2) + 1
     b1 = -1.0 + 0j
     b2, = _partner_amps(b1, [theta])
-    ins = [
-        Displace(q1, b1),
-        Displace(q2, b2),
-        Displace(q1, -b1),
-        Displace(q2, -b2),
-    ]
-    return GateSequence(n, ins, {"strategy": "cphase", "theta": theta})
+    return GateSequence._of(n, [q1, q2, q1, q2], [b1, b2, -b1, -b2],
+                            metadata={"strategy": "cphase", "theta": theta})
 
 
 def build_cnot(control: int, target: int, num_qubits: int | None = None) -> GateSequence:
@@ -180,53 +225,31 @@ def build_cnot(control: int, target: int, num_qubits: int | None = None) -> Gate
     if control == target:
         raise ValueError("control and target must differ")
     n = num_qubits if num_qubits is not None else max(control, target) + 1
-    return GateSequence(n, _cnot_gadget(control, target, 1), {"strategy": "cnot"})
+    p = _CORE_AMP[1]
+    h, h_corr = _gadget_locals(target, 1)
+    return GateSequence._of(n, [control, target, control, target], [1.0, p, -1.0, -p],
+                            [(0, h), (4, h_corr)], {"strategy": "cnot"})
 
 
 # ---------------------------------------------------------------------------
 # U_zz schedules
 # ---------------------------------------------------------------------------
 
-def _cycle(active: int, partners: list[int], coeffs: list[float], beta_bound: float) -> list:
-    """One disconnected cycle: the active qubit against every partner, with
-    phase coefficient coeffs[i] on the pair (active, partners[i]).
-
-    The active magnitude x is 1, unless some partner (|c|/2 at x = 1) would
-    exceed the bound; then x balances active against partners."""
-    worst = max(map(abs, coeffs)) / 2.0
-    x = 1.0 if worst <= beta_bound else math.sqrt(worst)
-    amps = _partner_amps(x, coeffs)
-    return ([Displace(active, x)] + [Displace(l, p) for l, p in zip(partners, amps)]
-            + [Displace(active, -x)] + [Displace(l, -p) for l, p in zip(partners, amps)])
+def _build_naive(v: CouplingMatrix, _strategy: Naive, beta_bound: float) -> tuple:
+    """One four-displacement cycle per coupled pair, row by row."""
+    m, l = np.nonzero(np.triu(v.v, 1))
+    owner = np.arange(len(m))
+    x, p = _cycle_amps(owner, v.v[m, l] / 2.0, beta_bound)
+    return _cycles(m, x, owner, l, p)
 
 
-def _build_naive(v: CouplingMatrix, _strategy: Naive, beta_bound: float) -> list:
-    """One four-displacement cycle per coupled pair (_cycle written out: it
-    is the innermost loop of the largest schedule).  The cycles of row m
-    share one attach and one detach while their active magnitude agrees."""
-    ins = []
-    for m, row in enumerate(v.v.tolist()):
-        x_row = None
-        for l in range(m + 1, v.n):
-            if row[l] != 0.0:
-                c = row[l] / 2.0
-                worst = abs(c) / 2.0
-                x = 1.0 if worst <= beta_bound else math.sqrt(worst)
-                if x != x_row:
-                    x_row, attach, detach = x, Displace(m, x), Displace(m, -x)
-                p = 1j * c * x / (2.0 * abs(x) ** 2)
-                ins += (attach, Displace(l, p), detach, Displace(l, -p))
-    return ins
-
-
-def _build_stepwise(v: CouplingMatrix, _strategy: Stepwise, beta_bound: float) -> list:
+def _build_stepwise(v: CouplingMatrix, _strategy: Stepwise, beta_bound: float) -> tuple:
     """One disconnected cycle per qubit m, covering all pairs (m, l>m)."""
-    ins = []
-    for m, row in enumerate(v.v.tolist()):
-        partners = [l for l in range(m + 1, v.n) if row[l] != 0.0]
-        if partners:
-            ins += _cycle(m, partners, [row[l] / 2.0 for l in partners], beta_bound)
-    return ins
+    m, l = np.nonzero(np.triu(v.v, 1))
+    first = _opens(m)
+    owner = np.cumsum(first) - 1
+    x, p = _cycle_amps(owner, v.v[m, l] / 2.0, beta_bound)
+    return _cycles(m[first], x, owner, l, p)
 
 
 @dataclass
@@ -312,15 +335,15 @@ def solve_carryover(v: CouplingMatrix, beta_bound: float = DEFAULT_BETA_BOUND) -
 
 
 def _build_carryover(v: CouplingMatrix, _strategy: Carryover | FixedRange,
-                     beta_bound: float) -> list:
+                     beta_bound: float) -> tuple:
     ins = []
     for step in solve_carryover(v, beta_bound):
         if step.fresh:
-            ins.append(Displace(step.active, step.active_beta))
-        ins += [Displace(l, p) for l, p in step.partners]
-        ins.append(Displace(step.active, -step.active_beta))
-        ins += [Displace(l, -p) for l, p in step.partners if l != step.carried]
-    return ins
+            ins.append((step.active, step.active_beta))
+        ins += step.partners
+        ins.append((step.active, -step.active_beta))
+        ins += [(l, -p) for l, p in step.partners if l != step.carried]
+    return [q for q, _ in ins], [b for _, b in ins]
 
 
 def _product_miss(v: CouplingMatrix, a: np.ndarray, b: np.ndarray) -> tuple | None:
@@ -393,7 +416,7 @@ def decompose_limited(v: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _build_limited(v: CouplingMatrix, strategy: Limited, _beta_bound: float) -> list:
+def _build_limited(v: CouplingMatrix, strategy: Limited, _beta_bound: float) -> tuple:
     if strategy.a is not None and strategy.b is not None:
         a = np.asarray(strategy.a, dtype=float)
         b = np.asarray(strategy.b, dtype=float)
@@ -409,26 +432,14 @@ def _build_limited(v: CouplingMatrix, strategy: Limited, _beta_bound: float) -> 
     # V[m,l]/2 = a[m] b[l] / 2, so u_l = b[l]/2 and w_m = a[m]/2.
     u = (b / 2.0).tolist()
     w = (a / 2.0).tolist()
-    ins = []
-    for l in range(1, n):
-        if u[l] != 0.0:
-            ins.append(Displace(l, complex(u[l])))
-    if w[0] != 0.0:
-        ins.append(Displace(0, 1j * w[0]))
-    for m in range(1, n - 1):
-        if u[m] != 0.0:
-            ins.append(Displace(m, complex(-u[m])))
-        if w[m] != 0.0:
-            ins.append(Displace(m, 1j * w[m]))
-    if u[n - 1] != 0.0:
-        ins.append(Displace(n - 1, complex(-u[n - 1])))
-    for m in range(n - 1):
-        if w[m] != 0.0:
-            ins.append(Displace(m, -1j * w[m]))
-    return ins
+    ins = ([(l, complex(u[l])) for l in range(1, n)] + [(0, 1j * w[0])]
+           + [d for m in range(1, n - 1) for d in ((m, complex(-u[m])), (m, 1j * w[m]))]
+           + [(n - 1, complex(-u[n - 1]))] + [(m, -1j * w[m]) for m in range(n - 1)])
+    ins = [(q, beta) for q, beta in ins if beta != 0]  # zero amplitudes are skipped
+    return [q for q, _ in ins], [b for _, b in ins]
 
 
-def _build_fixed_range(v: CouplingMatrix, strategy: FixedRange, beta_bound: float) -> list:
+def _build_fixed_range(v: CouplingMatrix, strategy: FixedRange, beta_bound: float) -> tuple:
     p = strategy.p
     if not 1 <= p <= v.n - 1:
         raise InfeasibleStrategyError(f"interaction range must lie in [1, {v.n - 1}]")
@@ -489,10 +500,10 @@ def build_uzz(v: CouplingMatrix, strategy: Strategy,
     lower the count.
     """
     name, _, build = _schedule(strategy)
-    ins = build(v, strategy, beta_bound)  # displacements only; the constructor recounts
-    return GateSequence(v.n, ins, {
+    qubits, betas = build(v, strategy, beta_bound)
+    return GateSequence._of(v.n, qubits, betas, (), {
         "strategy": name,
-        "bus_ops": len(ins),
+        "bus_ops": len(qubits),
         "bus_ops_dense": dense_formula_count(strategy, v.n),
     })
 
@@ -500,10 +511,6 @@ def build_uzz(v: CouplingMatrix, strategy: Strategy,
 # ---------------------------------------------------------------------------
 # Basis changes and local layers
 # ---------------------------------------------------------------------------
-
-def _is_diagonal_local(u: np.ndarray) -> bool:
-    return abs(u[0, 1]) < 1e-12 and abs(u[1, 0]) < 1e-12
-
 
 def conjugate_to_axis(seq: GateSequence, axis: str) -> GateSequence:
     """Turn a Z-diagonal sequence into its X(x)X or Y(x)Y analog.
@@ -513,18 +520,20 @@ def conjugate_to_axis(seq: GateSequence, axis: str) -> GateSequence:
     """
     if axis not in _W_AXIS:
         raise ValueError("axis must be 'x' or 'y'")
-    for ins in seq.instructions:
-        if isinstance(ins, Local) and not _is_diagonal_local(ins.u):
+    for _, ins in seq.gates:
+        if type(ins) is Local and (abs(ins.u[0, 1]) >= 1e-12 or abs(ins.u[1, 0]) >= 1e-12):
             raise ValueError("sequence must implement a Z-diagonal effect")
     n = seq.num_qubits
-    return GateSequence(n, _to_axis(seq.instructions, range(n), axis),
-                        dict(seq.metadata, axis=axis))
+    return GateSequence._of(n, seq.qubits, seq.betas,
+                            _to_axis(seq.gates, range(n), axis, len(seq.qubits)),
+                            dict(seq.metadata, axis=axis))
 
 
-def _to_axis(instructions: list, qubits, axis: str) -> list:
-    """Wrap instructions in the basis change W^dag ... W on each qubit."""
-    return ([_axis_local(q, axis, True) for q in qubits] + list(instructions)
-            + [_axis_local(q, axis, False) for q in qubits])
+def _to_axis(gates, qubits, axis: str, end: int) -> list:
+    """Wrap the gates of `end` displacements in the basis change W^dag ... W
+    on each qubit."""
+    return ([(0, _axis_local(q, axis, True)) for q in qubits] + list(gates)
+            + [(end, _axis_local(q, axis, False)) for q in qubits])
 
 
 @cache
@@ -549,28 +558,6 @@ def build_u0(eps: np.ndarray, tau: float, num_qubits: int | None = None) -> Gate
 # Controlled constructions
 # ---------------------------------------------------------------------------
 
-def _cnot_gadget(ancilla: int, common: int, core_sign: int) -> list:
-    """CNOT(ancilla -> common) up to the phase exp(-core_sign i pi/4 (1 - Z_a)).
-
-    Two gadgets with opposite core signs compose to a residual-free pair:
-    the ancilla phase corrections cancel, which is how every controlled
-    builder stays exact without extra instructions.
-    """
-    p, h_corr = _GADGET[core_sign]
-    return [
-        Local(common, HADAMARD, "h"),
-        Displace(ancilla, 1.0 + 0j),
-        Displace(common, p),
-        Displace(ancilla, -1.0 + 0j),
-        Displace(common, -p),
-        Local(common, h_corr, "h+phase"),
-    ]
-
-
-def _system_qubits(num_qubits: int, ancilla: int) -> list[int]:
-    return [q for q in range(num_qubits) if q != ancilla]
-
-
 def make_controlled(v: CouplingMatrix, ancilla: int = 0, axis: str = "z",
                     beta_bound: float = DEFAULT_BETA_BOUND) -> GateSequence:
     """Controlled version of the zz (or xx/yy) evolution, one ancilla qubit.
@@ -587,21 +574,35 @@ def make_controlled(v: CouplingMatrix, ancilla: int = 0, axis: str = "z",
     n = n_sys + 1
     if not 0 <= ancilla < n:
         raise ValueError(f"ancilla index {ancilla} infeasible for {n_sys} system qubits")
-    sys_q = _system_qubits(n, ancilla)
-    ins = []
-    for m, row in enumerate(v.v.tolist()):
-        partners = [l for l in range(m + 1, n_sys) if row[l] != 0.0]
-        if not partners:
-            continue
-        common = sys_q[m]
-        for half_sign, core_sign in ((1, 1), (-1, -1)):
-            coeffs = [half_sign * row[l] / 4.0 for l in partners]
-            ins += _cycle(common, [sys_q[l] for l in partners], coeffs, beta_bound)
-            ins += _cnot_gadget(ancilla, common, core_sign)
-        ins.append(Barrier(f"cycle-{m}"))
+    sys_q = np.array([q for q in range(n) if q != ancilla])
+    # Per coupled row m, four cycles: the half-angle cycle on the common
+    # qubit, the CNOT gadget (the ancilla against the common qubit at x = 1),
+    # the opposite half and the opposite gadget.
+    m, l = np.nonzero(np.triu(v.v, 1))
+    first = _opens(m)
+    row = np.cumsum(first) - 1
+    x, p = _cycle_amps(row, v.v[m, l] / 4.0, beta_bound)
+    p_opposite = np.zeros(len(p), dtype=complex)   # the scalar rule at -c: 0 - i c x / 2x^2
+    p_opposite.imag = -p.imag
+    common, anc, ones = sys_q[m[first]], np.full(len(x), ancilla), np.ones(len(x))
+    r = np.arange(len(x))
+    owner = np.concatenate([4 * row, 4 * r + 1, 4 * row + 2, 4 * r + 3])
+    order = np.argsort(owner, kind="stable")
+    qubits, betas = _cycles(np.stack([common, anc, common, anc], 1).ravel(),
+                            np.stack([x, ones, x, ones], 1).ravel(), owner[order],
+                            np.concatenate([sys_q[l], common, sys_q[l], common])[order],
+                            np.concatenate([p, _CORE_AMP[1] * ones, p_opposite,
+                                            _CORE_AMP[-1] * ones])[order])
+    gates, k = [], np.bincount(row, minlength=len(x))
+    for mr, q, kr, end in zip(m[first].tolist(), common.tolist(), k.tolist(),
+                              np.cumsum(4 * k + 12).tolist()):
+        (h, h_plus), (_, h_minus) = _gadget_locals(q, 1), _gadget_locals(q, -1)
+        gates += [(end - 2 * kr - 10, h), (end - 2 * kr - 6, h_plus), (end - 4, h),
+                  (end, h_minus), (end, Barrier(f"cycle-{mr}"))]
     if axis != "z":
-        ins = _to_axis(ins, sys_q, axis)
-    return GateSequence(n, ins, {"strategy": f"controlled-{axis}zz", "ancilla": ancilla})
+        gates = _to_axis(gates, sys_q.tolist(), axis, len(qubits))
+    return GateSequence._of(n, qubits, betas, gates,
+                            {"strategy": f"controlled-{axis}zz", "ancilla": ancilla})
 
 
 def _su2_split(u: np.ndarray) -> tuple[float, np.ndarray, float]:
@@ -610,6 +611,12 @@ def _su2_split(u: np.ndarray) -> tuple[float, np.ndarray, float]:
     det = np.linalg.det(u)
     delta = np.angle(det) / 2.0
     su = u * np.exp(-1j * delta)
+    if u[0, 1] == 0 and u[1, 0] == 0:
+        # The eigenvalues are the diagonal; eig and qr give these bases, bit for bit.
+        a0, a1 = np.angle(np.diag(su)).tolist()
+        basis = (np.eye(2, dtype=complex) if a0 >= a1
+                 else np.array([[0, -1], [complex(-1, -0.0), 0]]))
+        return delta, basis, max(a0, a1)
     w, vecs = np.linalg.eig(su)
     # Order eigenvalues as e^{+i eta}, e^{-i eta}
     angles = np.angle(w)
@@ -635,39 +642,29 @@ def make_controlled_locals(us: list[np.ndarray], ancilla: int = 0) -> GateSequen
     n = n_sys + 1
     if not 0 <= ancilla < n:
         raise ValueError(f"ancilla index {ancilla} infeasible for {n_sys} system qubits")
-    sys_q = _system_qubits(n, ancilla)
+    sys_q = [q for q in range(n) if q != ancilla]
     splits = [_su2_split(u) for u in us]
 
     q_corr = _zrot(-math.pi / 4)
-    core_amp, h_corr = _GADGET[1]
-
-    layer1 = [
-        Local(sys_q[m], HADAMARD @ _zrot(-eta / 2.0) @ basis.conj().T, "prep")
-        for m, (_, basis, eta) in enumerate(splits)
-    ]
-    cycle1 = [Displace(ancilla, 1.0 + 0j)]
-    cycle1 += [Displace(q, core_amp) for q in sys_q]
-    cycle1.append(Displace(ancilla, -1.0 + 0j))
-    cycle1 += [Displace(q, -core_amp) for q in sys_q]
-    layer2 = [Local(q, h_corr, "h+phase") for q in sys_q]
-    layer3 = [
-        Local(sys_q[m], HADAMARD @ _zrot(eta / 2.0), "half-power")
-        for m, (_, _, eta) in enumerate(splits)
-    ]
-    cycle2 = [Displace(ancilla, 1.0 + 0j)]
-    cycle2 += [Displace(q, -core_amp) for q in sys_q]
-    cycle2.append(Displace(ancilla, -1.0 + 0j))
-    cycle2 += [Displace(q, core_amp) for q in sys_q]
-    layer4 = [
-        Local(sys_q[m], basis @ HADAMARD @ q_corr, "finish")
-        for m, (_, basis, _) in enumerate(splits)
-    ]
-    ins = layer1 + cycle1 + layer2 + layer3 + cycle2 + layer4
-
+    cycle = 2 * n_sys + 2
+    ins = [(0, Local(q, HADAMARD @ _zrot(-eta / 2.0) @ basis.conj().T, "prep"))
+           for q, (_, basis, eta) in zip(sys_q, splits)]
+    ins += [(cycle, _gadget_locals(q, 1)[1]) for q in sys_q]
+    ins += [(cycle, Local(q, HADAMARD @ _zrot(eta / 2.0), "half-power"))
+            for q, (_, _, eta) in zip(sys_q, splits)]
+    ins += [(2 * cycle, Local(q, basis @ HADAMARD @ q_corr, "finish"))
+            for q, (_, basis, _) in zip(sys_q, splits)]
+    # Two fan-out cycles, the ancilla against every system qubit at x = 1.
+    a = _CORE_AMP[1]
+    qubits = ([ancilla] + sys_q) * 4
+    betas = ([1.0] + [a] * n_sys + [-1.0] + [-a] * n_sys
+             + [1.0] + [-a] * n_sys + [-1.0] + [a] * n_sys)
     total_delta = sum(d for d, _, _ in splits)
     if abs(np.exp(1j * total_delta) - 1.0) > 1e-12:
-        ins.append(Local(ancilla, np.diag([1.0, np.exp(1j * total_delta)]), "det-phase"))
-    return GateSequence(n, ins, {"strategy": "controlled-locals", "ancilla": ancilla})
+        ins.append((2 * cycle, Local(ancilla, np.diag([1.0, np.exp(1j * total_delta)]),
+                                     "det-phase")))
+    return GateSequence._of(n, qubits, betas, ins,
+                            {"strategy": "controlled-locals", "ancilla": ancilla})
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +683,7 @@ def _evolution_factors(model: BCSModel, tau: float, order: int) -> list[tuple[st
 
 def trotter_factors(model: BCSModel, tau: float, order: int = 2,
                     controlled: int | None = None,
-                    strategy: Strategy = Carryover(),
+                    strategy: Strategy | None = None,
                     coupling_scale: float = 1.0,
                     beta_bound: float = DEFAULT_BETA_BOUND) -> list[GateSequence]:
     """Compiled factors of one product-formula step, in the order they apply.
@@ -699,10 +696,15 @@ def trotter_factors(model: BCSModel, tau: float, order: int = 2,
     With `controlled` set to an ancilla index, the single-qubit factors go
     through make_controlled_locals and the coupling factors through
     make_controlled, on a register one qubit wider.  A controlled step
-    always uses make_controlled's own schedule, so `strategy` shapes
-    uncontrolled steps only.
+    always uses make_controlled's own schedule, so `strategy` (default
+    Carryover()) shapes uncontrolled steps only, and passing both raises
+    ValueError.
     coupling_scale multiplies the interaction part only (the adiabatic ramp).
     """
+    if controlled is not None and strategy is not None:
+        raise ValueError("a controlled step compiles through make_controlled; "
+                         "strategy applies to uncontrolled steps only")
+    strategy = Carryover() if strategy is None else strategy
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
     if tau <= 0:
@@ -729,7 +731,7 @@ def trotter_factors(model: BCSModel, tau: float, order: int = 2,
 
 def build_trotter_step(model: BCSModel, tau: float, order: int = 2,
                        controlled: int | None = None,
-                       strategy: Strategy = Carryover(),
+                       strategy: Strategy | None = None,
                        coupling_scale: float = 1.0,
                        beta_bound: float = DEFAULT_BETA_BOUND) -> GateSequence:
     """One product-formula step for exp(-iH tau), as one sequence.
@@ -739,12 +741,9 @@ def build_trotter_step(model: BCSModel, tau: float, order: int = 2,
     Callers that only need the step's unitary fold each distinct factor
     once with sequence.product_unitary instead of folding this sequence.
     """
-    seq = GateSequence(model.n_modes if controlled is None else model.n_modes + 1, [],
-                       {"strategy": f"trotter-{order}"})
-    for factor in trotter_factors(model, tau, order, controlled, strategy,
-                                  coupling_scale, beta_bound):
-        seq.extend(factor)
-    return seq
+    return GateSequence._of(*_joined(trotter_factors(model, tau, order, controlled, strategy,
+                                                     coupling_scale, beta_bound)),
+                            {"strategy": f"trotter-{order}"})
 
 
 def adiabatic_steps(delta: float) -> int:
@@ -773,15 +772,12 @@ def build_adiabatic_init(model: BCSModel, steps: int, tau: float,
     }
     if ramp not in ramps:
         raise ValueError(f"unknown ramp {ramp!r}")
-    seq = GateSequence(model.n_modes, [], {"strategy": f"adiabatic-{ramp}", "steps": steps})
-    for j in range(1, steps + 1):
-        c = ramps[ramp](j / steps)
-        step = build_trotter_step(model, tau, order=1, strategy=strategy,
-                                  coupling_scale=c, beta_bound=beta_bound)
-        seq.extend(step)
+    parts = [build_trotter_step(model, tau, order=1, strategy=strategy,
+                                coupling_scale=ramps[ramp](j / steps), beta_bound=beta_bound)
+             for j in range(1, steps + 1)]
     # Both ramps end at c = 1, so the last step is the unscaled step.
-    seq.metadata["ops_per_step"] = count_ops(step)["total"]
-    return seq
+    return GateSequence._of(*_joined(parts), {"strategy": f"adiabatic-{ramp}", "steps": steps,
+                                              "ops_per_step": count_ops(parts[-1])["total"]})
 
 
 # ---------------------------------------------------------------------------
@@ -813,9 +809,9 @@ def build_qft(k: int, mode: QftMode = QftMode()) -> GateSequence:
     if k < 1:
         raise ValueError("need at least one qubit")
     sign = 1.0 if mode.forward else -1.0
-    ins: list = [Local(0, HADAMARD, "h")]
+    ins = [(0, Local(0, HADAMARD, "h"))]
     if k == 1:
-        return GateSequence(1, ins, {"strategy": "qft", "k": 1})
+        return GateSequence._of(1, [], [], ins, {"strategy": "qft", "k": 1})
 
     def theta(i: int, j: int) -> float:
         # Angle of the ZZ exponential between qubits i < j.
@@ -831,18 +827,20 @@ def build_qft(k: int, mode: QftMode = QftMode()) -> GateSequence:
     pre_corr = [sum(theta(i, j) for i in range(j)) for j in range(k)]
     post_corr = [sum(theta(i, j) for j in range(i + 1, k)) for i in range(k - 1)]
 
-    ins.append(Displace(0, complex(x[0])))
-    ins += [Displace(j, 1j * y[j]) for j in range(1, k)]
-    ins.append(Displace(0, complex(-x[0])))
+    qubits = list(range(k)) + [0]
+    betas = [complex(x[0])] + [1j * y[j] for j in range(1, k)] + [complex(-x[0])]
     for m in range(1, k):
-        ins.append(Displace(m, -1j * y[m]))
-        ins.append(Local(m, _zrot(pre_corr[m]), "corr"))
-        ins.append(Local(m, HADAMARD, "h"))
+        qubits.append(m)
+        betas.append(-1j * y[m])
+        ins += [(len(qubits), Local(m, _zrot(pre_corr[m]), "corr")),
+                (len(qubits), Local(m, HADAMARD, "h"))]
         if m < k - 1:
-            ins.append(Displace(m, complex(x[m])))
-    ins += [Displace(m, complex(-x[m])) for m in range(1, k - 1)]
+            qubits.append(m)
+            betas.append(complex(x[m]))
+    qubits += range(1, k - 1)
+    betas += [complex(-x[m]) for m in range(1, k - 1)]
     if not mode.measurement_ready:
-        ins += [Local(q, _zrot(post_corr[q]), "corr") for q in range(k - 1)]
-    return GateSequence(k, ins, {"strategy": "qft", "k": k,
-                                 "mode": "mr" if mode.measurement_ready else "full",
-                                 "direction": "fwd" if mode.forward else "inv"})
+        ins += [(len(qubits), Local(q, _zrot(post_corr[q]), "corr")) for q in range(k - 1)]
+    return GateSequence._of(k, qubits, betas, ins, {
+        "strategy": "qft", "k": k, "mode": "mr" if mode.measurement_ready else "full",
+        "direction": "fwd" if mode.forward else "inv"})

@@ -31,8 +31,8 @@ from .builders import (
     build_trotter_step,
     trotter_factors,
 )
-from .sequence import (MAX_QUBITS, Barrier, Displace, GateSequence, Local, count_ops,
-                       effective_unitary, product_unitary)
+from .sequence import (MAX_QUBITS, GateSequence, Local, count_ops, effective_unitary,
+                       product_unitary)
 
 __all__ = [
     "ExactSuperposition",
@@ -162,15 +162,10 @@ def resolve_tau(model: BCSModel, cfg: PEAConfig) -> float:
 
 
 def _remap(seq: GateSequence, mapping: dict[int, int], num_qubits: int) -> GateSequence:
-    ins = []
-    for i in seq.instructions:
-        if isinstance(i, Displace):
-            ins.append(Displace(mapping[i.qubit], i.beta))
-        elif isinstance(i, Local):
-            ins.append(Local(mapping[i.qubit], i.u, i.label))
-        else:
-            ins.append(Barrier(i.label))
-    return GateSequence(num_qubits, ins, dict(seq.metadata))
+    qubits = np.array([mapping[q] for q in range(seq.num_qubits)], dtype=np.intp)
+    gates = [(cut, Local(mapping[ins.qubit], ins.u, ins.label) if type(ins) is Local else ins)
+             for cut, ins in seq.gates]
+    return GateSequence._of(num_qubits, qubits[seq.qubits], seq.betas, gates, dict(seq.metadata))
 
 
 def build_pea(model: BCSModel, cfg: PEAConfig) -> PEACircuit:

@@ -283,7 +283,7 @@ def verify_counts(n_range=range(2, 13), strategies=None,
     fixed-range rows cover every range p in [1, N-1].  Counts are integers;
     rows agree exactly or show up in mismatches().
     """
-    from .builders import (_SCHEDULES, STRATEGY_NAMES, Carryover, FixedRange, Limited,
+    from .builders import (_SCHEDULES, STRATEGY_NAMES, FixedRange, Limited,
                            build_qft, build_trotter_step, make_controlled,
                            make_controlled_locals, build_uzz, QftMode, strategy_from_name)
     from .sequence import count_ops
@@ -323,7 +323,7 @@ def verify_counts(n_range=range(2, 13), strategies=None,
         ))
         # Initialization: operations of one first-order product step.
         model = BCSModel(n, 1, rng.uniform(0.5, 1.5, size=n), _dense_coupling(n, rng))
-        step = build_trotter_step(model, 0.1, order=1, strategy=Carryover())
+        step = build_trotter_step(model, 0.1, order=1)
         report.rows.append(ReportRow(
             "init_general", n=n,
             formula_count=_count("init_general", N=n),
@@ -355,7 +355,7 @@ def verify_counts(n_range=range(2, 13), strategies=None,
     for k in (1, 2, 3):
         n = 3
         model = BCSModel(n, 1, rng.uniform(0.5, 1.5, size=n), _dense_coupling(n, rng))
-        step = build_trotter_step(model, 0.05, order=2, controlled=0, strategy=Carryover())
+        step = build_trotter_step(model, 0.05, order=2, controlled=0)
         compiled = count_ops(step)["total"] * (2**k - 1)
         report.rows.append(ReportRow(
             "pea_general", n=n, k=k,

@@ -1,6 +1,6 @@
 """Compilation IR for bus circuits: instructions, sequences, execution.
 
-A GateSequence is an ordered list of three instruction kinds:
+A GateSequence is an ordered stream of three instruction kinds:
 
 * Displace(qubit, beta): one controlled displacement D(beta * sigma_z) of the
   bus, the unit of cost in every operation count.
@@ -8,7 +8,13 @@ A GateSequence is an ordered list of three instruction kinds:
   read-only copy checked once, at construction.
 * Barrier(label): structural marker, carries no semantics and no cost.
 
-A GateSequence checks qubit ranges and amplitudes once, when constructed.
+A sequence stores the stream as arrays: the displacements in order as
+read-only `qubits` and `betas`, and the other instructions as `gates`, a
+tuple of (cut, Local or Barrier) with cut the number of displacements
+before it.  Builders fill the arrays directly; an instruction list is
+converted in one pass.  The constructor validates once, and a sequence
+cannot be edited after it.  `instructions` is a read-only tuple of the
+instruction objects, built when read; no library path reads it.
 
 The executor folds a sequence through the hybrid-state simulator.
 effective_unitary reconstructs the compiled qubit unitary by folding all 2^n
@@ -29,11 +35,9 @@ once.
 
 from __future__ import annotations
 
-import cmath
 import json
 import warnings
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -102,43 +106,104 @@ class Barrier:
 Instruction = Displace | Local | Barrier
 
 
-@dataclass
 class GateSequence:
-    """Ordered instruction list over a fixed-size register."""
+    """Instruction stream over a fixed-size register, stored as arrays.
 
-    num_qubits: int
-    instructions: list[Instruction] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    qubits (intp) and betas (complex128) hold the displacements in order;
+    gates holds (cut, Local or Barrier) in order, cut counting the
+    displacements before it.  GateSequence(num_qubits, instructions,
+    metadata) takes a list of Displace, Local and Barrier objects, _of the
+    arrays.  Both check once that every amplitude is finite, every qubit in
+    the register and a declared metadata["bus_ops"] equal to len(qubits).
+    """
 
-    def __post_init__(self):
-        n, bus = self.num_qubits, 0
-        for ins in self.instructions:
-            kind = type(ins)
-            if kind is Displace:
-                bus += 1
-                if not cmath.isfinite(ins.beta):
-                    raise ValueError("displacement amplitude must be finite")
-            elif kind is Barrier:
-                continue
-            if not 0 <= ins.qubit < n:
-                raise ValueError(f"instruction qubit {ins.qubit} out of range")
-        declared = self.metadata.get("bus_ops")
-        if declared is not None and declared != bus:
+    __slots__ = ("num_qubits", "qubits", "betas", "gates", "metadata", "_n_local")
+
+    def __init__(self, num_qubits: int, instructions=(), metadata: dict | None = None):
+        qubits, betas, gates = [], [], []
+        for ins in instructions:
+            if type(ins) is Displace:
+                qubits.append(ins.qubit)
+                betas.append(ins.beta)
+            else:
+                gates.append((len(qubits), ins))
+        self._set(num_qubits, qubits, betas, gates, metadata)
+
+    @classmethod
+    def _of(cls, num_qubits: int, qubits, betas, gates=(), metadata: dict | None = None
+            ) -> "GateSequence":
+        """The sequence of these arrays (or lists): the builders' constructor."""
+        seq = cls.__new__(cls)
+        seq._set(num_qubits, qubits, betas, gates, metadata)
+        return seq
+
+    def _set(self, n: int, qubits, betas, gates, metadata: dict | None) -> None:
+        self.num_qubits, self.gates = n, tuple(gates)
+        self.metadata = {} if metadata is None else metadata
+        self.qubits = q = np.asarray(qubits, dtype=np.intp)
+        self.betas = np.asarray(betas, dtype=complex)
+        if not np.isfinite(self.betas).all():
+            raise ValueError("displacement amplitude must be finite")
+        if len(q) and not (0 <= np.minimum.reduce(q) and np.maximum.reduce(q) < n):
+            raise ValueError(f"instruction qubit {q[(q < 0) | (q >= n)][0]} out of range")
+        self._n_local = 0
+        for _, ins in self.gates:
+            if type(ins) is Local:
+                self._n_local += 1
+                if not 0 <= ins.qubit < n:
+                    raise ValueError(f"instruction qubit {ins.qubit} out of range")
+            elif type(ins) is not Barrier:
+                raise TypeError("an instruction is a Displace, a Local or a Barrier")
+        if self.metadata.get("bus_ops") not in (None, len(self.qubits)):
             raise ValueError("declared bus-operation count disagrees with instructions")
+        self.qubits.setflags(write=False)
+        self.betas.setflags(write=False)
+
+    @property
+    def instructions(self) -> tuple[Instruction, ...]:
+        """The stream as Displace, Local and Barrier objects, built on each read."""
+        out: list[Instruction] = []
+        for qubits, betas, ins in _stretches(self):
+            out += map(Displace, qubits, betas)
+            if ins is not None:
+                out.append(ins)
+        return tuple(out)
 
     def extend(self, other: "GateSequence") -> None:
         """Append other's instructions; a declared bus-operation count grows with them."""
-        if other.num_qubits != self.num_qubits:
-            raise ValueError("register sizes differ")
+        joined = _joined([self, other])
         if self.metadata.get("bus_ops") is not None:
-            self.metadata["bus_ops"] += count_ops(other)["bus"]
-        self.instructions.extend(other.instructions)
+            self.metadata["bus_ops"] += len(other.qubits)
+        self._set(*joined, self.metadata)
+
+
+def _joined(parts: list[GateSequence]) -> tuple:
+    """(num_qubits, qubits, betas, gates) of the parts in order, for _of."""
+    n = parts[0].num_qubits
+    if any(part.num_qubits != n for part in parts):
+        raise ValueError("register sizes differ")
+    gates, cut = [], 0
+    for part in parts:
+        gates += [(cut + c, ins) for c, ins in part.gates]
+        cut += len(part.qubits)
+    return (n, np.concatenate([part.qubits for part in parts]),
+            np.concatenate([part.betas for part in parts]), gates)
+
+
+def _stretches(seq: GateSequence):
+    """Per gate in order, then once more with None: the qubits and betas,
+    as Python lists, of the displacements since the previous gate, and it."""
+    qubits, betas = seq.qubits.tolist(), seq.betas.tolist()
+    done = 0
+    for cut, ins in seq.gates:
+        yield qubits[done:cut], betas[done:cut], ins
+        done = cut
+    yield qubits[done:], betas[done:], None
 
 
 def count_ops(seq: GateSequence) -> dict:
     """{'bus': #Displace, 'local': #Local, 'total': sum}; barriers are free."""
-    kinds = Counter(map(type, seq.instructions))
-    bus, local = kinds[Displace], kinds[Local]
+    bus, local = len(seq.qubits), seq._n_local
     return {"bus": bus, "local": local, "total": bus + local}
 
 
@@ -164,10 +229,10 @@ def execute(seq: GateSequence, state: HybridState) -> HybridState:
     """
     if seq.num_qubits != state.num_qubits:
         raise ValueError("sequence and state register sizes differ")
-    for ins in seq.instructions:
-        if isinstance(ins, Displace):
-            state = apply_displacement(state, ins.qubit, ins.beta)
-        elif isinstance(ins, Local):
+    for qubits, betas, ins in _stretches(seq):
+        for qubit, beta in zip(qubits, betas):
+            state = apply_displacement(state, qubit, beta)
+        if type(ins) is Local:
             if not _local_is_clean(state, ins.qubit):
                 warnings.warn(
                     f"local unitary on qubit {ins.qubit} while entangled with the bus",
@@ -265,48 +330,31 @@ def _fold_columns(seq: GateSequence, n: int) -> tuple[np.ndarray, np.ndarray] | 
     Amplitudes at or below COEFF_DROP_TOL are zeroed once, at the end, as
     merge_branches drops them.
     """
-    qubits: list[int] = []
-    betas: list[complex] = []
-    runs: list[int] = []        # index among the non-empty runs, per displacement
-    starts: list[int] = []      # per non-empty run: the local gate it precedes
-    gates: list[tuple[int, np.ndarray]] = []
-    for ins in seq.instructions:
-        if isinstance(ins, Barrier):
-            continue
-        if not 0 <= ins.qubit < n:
-            raise IndexError(f"qubit {ins.qubit} out of range for {n} qubits")
-        if isinstance(ins, Displace):
-            beta = complex(ins.beta)
-            if not cmath.isfinite(beta):
-                raise ValueError("displacement amplitude must be finite")
-            if not starts or starts[-1] != len(gates):
-                starts.append(len(gates))
-            qubits.append(ins.qubit)
-            betas.append(beta)
-            runs.append(len(starts) - 1)
-        else:
-            gates.append((ins.qubit, ins.u))
-
+    gates = [(cut, ins) for cut, ins in seq.gates if type(ins) is Local]
+    # Segment s holds the displacements between local gates s - 1 and s; the
+    # non-empty segments are the runs, and starts[r] is the gate run r precedes.
+    bounds = [0, *(cut for cut, _ in gates), len(seq.qubits)]
+    sizes = [bounds[s + 1] - bounds[s] for s in range(len(gates) + 1)]
+    starts = [s for s, size in enumerate(sizes) if size]
     dim = 2**n
     signs, pairs = _sign_tables(n)
     if starts:
-        phi, sums = _compose_runs(n, len(starts), qubits, betas, runs)
+        runs = np.repeat(np.arange(len(starts)), [sizes[s] for s in starts])
+        phi, sums = _compose_runs(n, len(starts), seq.qubits, seq.betas, runs)
         phase = pairs @ phi.reshape(len(starts), n * n).T     # (row, run): s_b^T Phi s_b
     bus = np.zeros(n, dtype=complex)    # S at the current gate
     c = np.eye(dim, dtype=complex)
-    k = 0                       # next non-empty run
-    for g in range(len(gates) + 1):
-        if k < len(starts) and starts[k] == g:
-            c *= np.exp(1j * phase[:, k])[:, None]
-            bus = sums[k]
-            k += 1
-        if g == len(gates):
+    run_before = dict(zip(starts, range(len(starts))))
+    for g, (_, gate) in enumerate([*gates, (None, None)]):
+        if g in run_before:
+            c *= np.exp(1j * phase[:, run_before[g]])[:, None]
+            bus = sums[run_before[g]]
+        if gate is None:
             break
-        qubit, u = gates[g]
-        if abs(bus[qubit]) > MERGE_TOL / 2:
+        if abs(bus[gate.qubit]) > MERGE_TOL / 2:
             return None
         # rows grouped as (higher bits, bit of the qubit, lower bits and column)
-        c = (u @ c.reshape(dim >> (n - qubit), 2, -1)).reshape(dim, dim)
+        c = (gate.u @ c.reshape(dim >> (n - gate.qubit), 2, -1)).reshape(dim, dim)
     c[np.abs(c) <= COEFF_DROP_TOL] = 0
     return c, np.broadcast_to((signs @ bus)[:, None], (dim, dim))
 
@@ -323,12 +371,12 @@ def _sign_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return signs, pairs
 
 
-def _compose_runs(n: int, n_runs: int, qubits: list[int], betas: list[complex],
-                  runs: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _compose_runs(n: int, n_runs: int, q: np.ndarray, beta: np.ndarray,
+                  r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pair phases Phi, shape (n_runs, n, n), and running sums S, (n_runs, n).
 
-    Displacement i moves the bus by betas[i] on qubit qubits[i] in run
-    runs[i], a non-decreasing index below n_runs.  S[r, q] sums the betas
+    Displacement i moves the bus by beta[i] on qubit q[i] in run r[i], a
+    non-decreasing index below n_runs.  S[r, q] sums the betas
     on qubit q from the start of the sequence to the end of run r, and
     Phi[r, q, p] sums Im(beta_i conj(S_p)) over run r's displacements i on
     qubit q, with S_p the sum on qubit p before i.  By D(x) D(y) =
@@ -338,9 +386,6 @@ def _compose_runs(n: int, n_runs: int, qubits: list[int], betas: list[complex],
     terms are its row-independent part.  All of it is one prefix sum over
     the whole sequence.
     """
-    q = np.array(qubits, dtype=np.intp)
-    r = np.array(runs, dtype=np.intp)
-    beta = np.array(betas, dtype=complex)
     steps = np.zeros((len(q) + 1, n), dtype=complex)
     steps[np.arange(1, len(q) + 1), q] = beta
     sums = np.cumsum(steps, axis=0)        # sums[i]: per-qubit sum of the first i betas
@@ -388,19 +433,13 @@ def _complex_pair(z: complex) -> list[float]:
 def sequence_to_json(seq: GateSequence) -> dict:
     """Fixed interchange schema; counts always match the instruction list."""
     body = []
-    for ins in seq.instructions:
-        if isinstance(ins, Displace):
-            body.append({"op": "disp", "q": ins.qubit, "beta": _complex_pair(ins.beta)})
-        elif isinstance(ins, Local):
-            body.append(
-                {
-                    "op": "local",
-                    "q": ins.qubit,
-                    "u": [[_complex_pair(ins.u[r, c]) for c in range(2)] for r in range(2)],
-                    "label": ins.label,
-                }
-            )
-        else:
+    for qubits, betas, ins in _stretches(seq):
+        body += [{"op": "disp", "q": q, "beta": _complex_pair(beta)}
+                 for q, beta in zip(qubits, betas)]
+        if type(ins) is Local:
+            body.append({"op": "local", "q": ins.qubit, "label": ins.label,
+                         "u": [[_complex_pair(ins.u[r, c]) for c in range(2)] for r in range(2)]})
+        elif ins is not None:
             body.append({"op": "barrier", "label": ins.label})
     counts = count_ops(seq)
     return {

@@ -202,7 +202,7 @@ def test_make_controlled_rejects_unknown_axis(axis, monkeypatch):
     def no_compile(*args, **kwargs):
         raise AssertionError("compiled before the axis was checked")
 
-    monkeypatch.setattr(builders, "_cycle", no_compile)
+    monkeypatch.setattr(builders, "_cycles", no_compile)
     with pytest.raises(ValueError, match="axis"):
         make_controlled(CouplingMatrix(2, np.array([[0.0, 0.5], [0.5, 0.0]])), 0, axis)
 
@@ -333,3 +333,34 @@ def test_cphase_fast_path_closed_form():
         s1 = 1 if bits[1] == "0" else -1
         assert abs(br.coeff - np.exp(1j * theta * s0 * s1)) < 1e-12
         assert abs(br.alpha) < 1e-12
+
+
+def _su2_split_by_eig(u):
+    """_su2_split's general path (eig, then qr of the ordered eigenvectors)."""
+    delta = np.angle(np.linalg.det(u)) / 2.0
+    w, vecs = np.linalg.eig(u * np.exp(-1j * delta))
+    order = np.argsort(-np.angle(w))
+    q, _ = np.linalg.qr(vecs[:, order])
+    return delta, q, float(np.angle(w[order][0]))
+
+
+def test_su2_split_of_a_diagonal_skips_eig_bit_for_bit(monkeypatch):
+    from qubusim.builders import _su2_split
+
+    rng = np.random.default_rng(1414)
+    phases = [rng.uniform(-np.pi, np.pi, 2) for _ in range(4000)]
+    phases += [np.zeros(2), np.full(2, np.pi), np.array([np.pi, -np.pi]),
+               np.array([0.3, 0.3]), np.array([-np.pi / 2, np.pi / 2])]
+    us = [np.diag(np.exp(1j * p)) for p in phases] + [np.eye(2), -np.eye(2)]
+    want = [_su2_split_by_eig(u) for u in us]
+
+    def refuse(*args):
+        raise AssertionError("a diagonal input needs no eig or qr")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    for u, (delta, basis, eta) in zip(us, want):
+        got = _su2_split(u)
+        assert np.array(got[0]).tobytes() == np.array(delta).tobytes()
+        assert got[1].tobytes() == basis.tobytes()
+        assert np.array(got[2]).tobytes() == np.array(eta).tobytes()

@@ -144,9 +144,8 @@ def test_effective_unitary_entangled_bus_raises():
 
 
 def test_json_roundtrip(tmp_path):
-    seq = build_cphase(0, 1, 0.37)
-    seq.instructions.append(Local(1, HADAMARD, "h"))
-    seq.instructions.append(Barrier("end"))
+    seq = GateSequence(2, [*build_cphase(0, 1, 0.37).instructions,
+                           Local(1, HADAMARD, "h"), Barrier("end")])
     path = tmp_path / "seq.json"
     save_sequence(seq, path)
     loaded = load_sequence(path)
@@ -277,10 +276,18 @@ def test_effective_unitary_entangled_local_warns_and_raises():
 
 
 def test_effective_unitary_rejects_non_finite_beta():
+    # A sequence cannot hold a NaN amplitude: the constructor rejects it,
+    # and neither the instruction view nor the arrays can be edited after.
     seq = build_cphase(0, 1, 0.3)
-    seq.instructions.insert(2, Displace(1, complex(np.nan, 0.0)))
+    ins = list(seq.instructions)
+    ins.insert(2, Displace(1, complex(np.nan, 0.0)))
     with pytest.raises(ValueError, match="finite"):
-        effective_unitary(seq)
+        GateSequence(2, ins)
+    with pytest.raises(AttributeError):
+        seq.instructions.insert(2, Displace(1, complex(np.nan, 0.0)))
+    with pytest.raises(ValueError, match="read-only"):
+        seq.betas[2] = complex(np.nan, 0.0)
+    assert np.max(np.abs(effective_unitary(seq) - effective_unitary(build_cphase(0, 1, 0.3)))) == 0
 
 
 def test_compiled_steps_keep_the_bus_at_rest():
@@ -344,11 +351,11 @@ def test_run_open_above_rounding_bound_takes_the_exact_path(recwarn):
     # displaced by that much on qubit 0 to the end; the local gates on
     # qubits 1 and 2 still fold (the bus does not depend on them), and the
     # later loops gain the cross phases with the leftover displacement.
-    seq = build_cphase(0, 1, 0.3, 3)
-    seq.instructions[2] = Displace(0, seq.instructions[2].beta + 1e-13)
-    seq.instructions.append(Local(1, HADAMARD))
+    ins = list(build_cphase(0, 1, 0.3, 3).instructions)
+    ins[2] = Displace(0, ins[2].beta + 1e-13)
+    seq = GateSequence(3, ins + [Local(1, HADAMARD)])
     seq.extend(build_cphase(1, 2, 0.7, 3))
-    seq.instructions.append(Local(2, haar_unitary_2(np.random.default_rng(421))))
+    seq.extend(GateSequence(3, [Local(2, haar_unitary_2(np.random.default_rng(421)))]))
     seq.extend(build_cphase(0, 2, 0.2, 3))
     c, a = _fold_columns(seq, 3)
     assert 0.5e-13 < np.max(np.abs(a)) < 2e-13
@@ -358,21 +365,30 @@ def test_run_open_above_rounding_bound_takes_the_exact_path(recwarn):
 
 
 def test_non_finite_beta_raises_before_a_later_bad_qubit():
-    # The constructor rejects a NaN amplitude, so it is edited in afterwards.
-    seq = GateSequence(2, [Displace(0, 0.1), Displace(1, 0.1)])
-    seq.instructions[0] = Displace(0, complex(np.nan, 0.0))
+    # The constructor checks the amplitudes before the qubit ranges, and a
+    # sequence cannot be edited after it, so the fold never meets either.
+    ins = [Displace(0, complex(np.nan, 0.0)), Displace(1, 0.1)]
     with pytest.raises(ValueError, match="finite"):
-        _fold_columns(seq, 1)
-    seq.instructions.append(Displace(5, 0.1))
+        GateSequence(1, ins)
     with pytest.raises(ValueError, match="finite"):
-        effective_unitary(seq)
+        GateSequence(2, ins + [Displace(5, 0.1)])
+    with pytest.raises(ValueError, match="qubit 5 out of range"):
+        GateSequence(2, ins[1:] + [Displace(5, 0.1)])
+    seq = GateSequence(2, ins[1:])
+    with pytest.raises(TypeError):
+        seq.instructions[0] = ins[0]
+    with pytest.raises(AttributeError):
+        seq.instructions.append(Displace(5, 0.1))
+    with pytest.raises(ValueError, match="read-only"):
+        seq.qubits[0] = 5
 
 
 def test_product_unitary_folds_each_distinct_part_once(monkeypatch):
     import qubusim.sequence as sequence
 
-    a, b = build_cphase(0, 1, 0.3, 2), build_cphase(1, 0, -0.7, 2)
-    b.instructions.append(Local(1, haar_unitary_2(np.random.default_rng(431))))
+    a = build_cphase(0, 1, 0.3, 2)
+    b = GateSequence(2, [*build_cphase(1, 0, -0.7, 2).instructions,
+                         Local(1, haar_unitary_2(np.random.default_rng(431)))])
     folded = []
     fold = sequence.effective_unitary
     monkeypatch.setattr(sequence, "effective_unitary",

@@ -76,7 +76,8 @@ def test_factor_product_matches_whole_step_fold(n):
         model = random_model(n, rng, r=r)
         for order in (1, 2):
             for controlled in (None, 0):
-                args = (model, 0.3, order, controlled, Carryover(), scale)
+                strategy = Carryover() if controlled is None else None
+                args = (model, 0.3, order, controlled, strategy, scale)
                 width = n if controlled is None else n + 1
                 whole = effective_unitary(build_trotter_step(*args), width)
                 product = product_unitary(trotter_factors(*args), width)
@@ -136,15 +137,22 @@ def test_controlled_step_count_matches_evolution_formula():
 
 def test_controlled_step_count_independent_of_strategy():
     # A controlled step always compiles through make_controlled; the
-    # strategy shapes the uncontrolled step only.
+    # strategy shapes the uncontrolled step only, and a controlled step
+    # refuses one rather than ignore it.
     model = random_model(4, np.random.default_rng(157))
     strategies = (Naive(), Stepwise(), Carryover())
-    controlled = {count_ops(build_trotter_step(model, 0.05, order=2, controlled=0,
-                                               strategy=s))["total"] for s in strategies}
-    assert controlled == {6 * 4 * 4 + 64 * 4 - 40}
+    controlled = build_trotter_step(model, 0.05, order=2, controlled=0)
+    assert count_ops(controlled)["total"] == 6 * 4 * 4 + 64 * 4 - 40
+    for s in strategies:
+        for build in (build_trotter_step, trotter_factors):
+            with pytest.raises(ValueError, match="strategy"):
+                build(model, 0.05, order=2, controlled=0, strategy=s)
     plain = {count_ops(build_trotter_step(model, 0.05, order=2, strategy=s))["total"]
              for s in strategies}
     assert len(plain) == len(strategies)
+    default = build_trotter_step(model, 0.05, order=2)
+    assert sequence_to_json(default) == sequence_to_json(
+        build_trotter_step(model, 0.05, order=2, strategy=Carryover()))
 
 
 def test_controlled_step_blocks():
