@@ -48,9 +48,11 @@ for kind, params in [("uzz_naive", {"N": 10}), ("uzz_stepwise", {"N": 10}),
 
 print("\ncarryover chain for N=4 (one qubit stays on the bus between steps):")
 v = rng.uniform(0.3, 1.0, (4, 4)); v = (v + v.T) / 2; np.fill_diagonal(v, 0)
-for step in q.solve_carryover(q.CouplingMatrix(4, v)):
-    partners = ", ".join(f"q{l} ({p:+.3f})" for l, p in step.partners)
-    tag = "fresh attach" if step.fresh else "carried"
-    print(f"  active q{step.active} [{tag}, beta={step.active_beta:+.3f}] "
-          f"partners: {partners or 'none'}; stays: "
-          f"{'q%d' % step.carried if step.carried is not None else 'nobody'}")
+seq = q.build_uzz(q.CouplingMatrix(4, v), q.Carryover())
+on_bus = {}  # qubit -> the amplitude the bus is displaced by on it
+for qubit, beta in zip(seq.qubits.tolist(), seq.betas.tolist()):
+    total = on_bus.pop(qubit, 0) + beta
+    if total:
+        on_bus[qubit] = total
+    held = " ".join(f"q{h}" for h in sorted(on_bus)) or "nothing"
+    print(f"  {'attach' if total else 'detach'} q{qubit} ({beta:+.3f})  on the bus: {held}")

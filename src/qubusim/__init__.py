@@ -57,7 +57,6 @@ from .builders import (
     dense_formula_count,
     make_controlled,
     make_controlled_locals,
-    solve_carryover,
     strategy_from_name,
     trotter_factors,
 )

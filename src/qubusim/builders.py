@@ -51,8 +51,6 @@ __all__ = [
     "DEFAULT_BETA_BOUND",
     "build_cphase",
     "build_uzz",
-    "solve_carryover",
-    "CarryoverStep",
     "decompose_limited",
     "conjugate_to_axis",
     "build_u0",
@@ -252,98 +250,69 @@ def _build_stepwise(v: CouplingMatrix, _strategy: Stepwise, beta_bound: float) -
     return _cycles(m[first], x, owner, l, p)
 
 
-@dataclass
-class CarryoverStep:
-    """One step of the carryover chain.
+def _carryover_chains(rows: list[list[float]]) -> list[list[tuple[int, list[int]]]]:
+    """The carryover visit order: per chain, its steps (active, partners).
 
-    The active qubit is already attached to the bus (with active_beta) when
-    the step begins, unless fresh is set; partners attach on the orthogonal
-    quadrature, the carried partner stays attached for the next step.
+    A step couples the active qubit to its unvisited partners, ascending,
+    and the first partner stays on the bus as the next step's active qubit.
+    A chain ends at a qubit with no unvisited partner, and the next starts
+    at the lowest unvisited qubit still coupled to another, which handles
+    disconnected coupling graphs.  The order depends only on which
+    couplings are nonzero.
     """
-
-    active: int
-    active_beta: complex
-    partners: list[tuple[int, complex]]
-    carried: int | None
-    fresh: bool
-
-
-def _carryover_plan(v: CouplingMatrix, start_amp: dict[int, float]) -> list[CarryoverStep]:
-    rows = v.v.tolist()
-    # The coupled qubits not yet visited, in ascending order.
-    unvisited = [q for q, row in enumerate(rows) if any(x != 0.0 for x in row)]
-    plan: list[CarryoverStep] = []
-    active: int | None = None
-    active_beta = 0j
-    fresh = False
+    unvisited = [q for q, row in enumerate(rows) if any(row)]
+    chains = []
     while True:
+        active = next((q for q in unvisited
+                       if any(rows[q][l] for l in unvisited if l != q)), None)
         if active is None:
-            active = next((q for q in unvisited
-                           if any(rows[q][l] != 0.0 for l in unvisited if l != q)), None)
-            if active is None:
-                break
+            return chains
+        chain = []
+        while active is not None:
             unvisited.remove(active)
-            active_beta = complex(start_amp.get(active, 1.0))
-            fresh = True
-        row = rows[active]
-        partners = [l for l in unvisited if row[l] != 0.0]
-        amps = list(zip(partners, _partner_amps(active_beta, [row[l] / 2.0 for l in partners])))
-        carried = partners[0] if partners else None
-        plan.append(CarryoverStep(active, active_beta, amps, carried, fresh))
-        fresh = False
-        if carried is None:
-            active = None
-        else:
-            unvisited.remove(carried)
-            active_beta = amps[0][1]
-            active = carried
-    return plan
+            partners = [l for l in unvisited if rows[active][l]]
+            chain.append((active, partners))
+            active = partners[0] if partners else None
+        chains.append(chain)
 
 
-def solve_carryover(v: CouplingMatrix, beta_bound: float = DEFAULT_BETA_BOUND) -> list[CarryoverStep]:
-    """Plan the carryover schedule: per-step amplitudes and carried qubits.
+def _chain_amps(rows: list[list[float]], chain: list[tuple[int, list[int]]],
+                start: float) -> list[tuple[complex, list[complex]]]:
+    """Per step of a chain, the active amplitude and the partner amplitudes.
 
-    A chain visits qubits leaving one attached to the bus between steps;
-    the carried amplitude is whatever realized its coupling in the previous
-    step, so only the chain's starting amplitude is free.  Skipped zero
-    couplings cost nothing, and a chain restarts (fresh attach) whenever the
-    active qubit has no remaining partners, which handles disconnected
-    coupling graphs; the ascending qubit order is kept otherwise.
-
-    Within a chain every amplitude is proportional either to the start
-    amplitude c or to 1/c (quadratures alternate), so when the default
-    c = 1 would break the beta bound, c is rebalanced per chain.
-    """
-    plan = _carryover_plan(v, {})
-    chains: list[dict] = []
-    depth = 0
-    for step in plan:
-        if step.fresh:
-            chains.append({"start": step.active, "even": [], "odd": []})
-            depth = 0
-        ch = chains[-1]
-        ch["even" if depth % 2 == 0 else "odd"].append(abs(step.active_beta))
-        ch["odd" if depth % 2 == 0 else "even"].extend(abs(p) for _, p in step.partners)
-        depth += 1
-    start_amp: dict[int, float] = {}
-    for ch in chains:  # "even" always holds the chain's first amplitude
-        if ch["odd"] and max(max(ch["even"]), max(ch["odd"])) > beta_bound:
-            start_amp[ch["start"]] = math.sqrt(max(ch["odd"]) / max(ch["even"]))
-    if start_amp:
-        plan = _carryover_plan(v, start_amp)
-    return plan
+    The first active qubit attaches at start; each later one keeps the
+    amplitude that realized its coupling in the step before."""
+    beta, amps = complex(start), []
+    for active, partners in chain:
+        amps.append((beta, _partner_amps(beta, [rows[active][l] / 2.0 for l in partners])))
+        beta = amps[-1][1][0] if partners else beta
+    return amps
 
 
 def _build_carryover(v: CouplingMatrix, _strategy: Carryover | FixedRange,
                      beta_bound: float) -> tuple:
-    ins = []
-    for step in solve_carryover(v, beta_bound):
-        if step.fresh:
-            ins.append((step.active, step.active_beta))
-        ins += step.partners
-        ins.append((step.active, -step.active_beta))
-        ins += [(l, -p) for l, p in step.partners if l != step.carried]
-    return [q for q, _ in ins], [b for _, b in ins]
+    """Chains that leave one qubit attached to the bus between steps.
+
+    Only a chain's start amplitude c is free, and every amplitude in it is
+    proportional to c or to 1/c, alternating with the step.  A chain that
+    breaks the bound at c = 1 is compiled once more, at c = sqrt(m1 / m0)
+    with m0 and m1 the largest magnitudes at c = 1 of the two kinds, which
+    balances them."""
+    rows = v.v.tolist()
+    qubits, betas = [], []
+    for chain in _carryover_chains(rows):
+        amps = _chain_amps(rows, chain, 1.0)
+        mags = ([1.0], [])  # the magnitudes proportional to c, and to 1/c
+        for depth, (_, ps) in enumerate(amps):
+            mags[1 - depth % 2].extend(map(abs, ps))
+        if max(map(max, mags)) > beta_bound:
+            amps = _chain_amps(rows, chain, math.sqrt(max(mags[1]) / max(mags[0])))
+        qubits.append(chain[0][0])
+        betas.append(amps[0][0])
+        for (active, partners), (beta, ps) in zip(chain, amps):
+            qubits += partners + [active] + partners[1:]
+            betas += ps + [-beta] + [-p for p in ps[1:]]
+    return qubits, betas
 
 
 def _product_miss(v: CouplingMatrix, a: np.ndarray, b: np.ndarray) -> tuple | None:

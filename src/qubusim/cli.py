@@ -69,12 +69,10 @@ def _diagonal_target(v: np.ndarray) -> np.ndarray:
 
 def cmd_compile(args) -> int:
     model = load_model(args.model)
-    if args.strategy == "fixed-range" and args.p is None:
-        raise SystemExit("--strategy fixed-range requires --p")
     try:
         strategy = strategy_from_name(args.strategy, args.p)
     except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        return _usage_error("compile", exc)
     try:
         seq = build_uzz(model.v, strategy)
     except InfeasibleStrategyError as exc:
@@ -182,7 +180,7 @@ def cmd_count(args) -> int:
     except ValueError as exc:
         return _usage_error("count", exc)
     if args.verify_counts:
-        report = verify_counts(seed=args.seed or 7)
+        report = verify_counts(seed=7 if args.seed is None else args.seed)
     else:
         report = ResourceReport()
     report.rows.append(ReportRow("crossover", n=crossover_n()))
@@ -214,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="check a compiled sequence against its model")
     v.add_argument("--model", required=True)
     v.add_argument("--sequence", required=True)
-    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument("--tol", type=_positive(float), default=1e-9)
     v.set_defaults(func=cmd_verify)
 
     g = sub.add_parser("gap", help="energy gap, exactly and/or by phase estimation")

@@ -3,7 +3,8 @@
 A GateSequence is an ordered stream of three instruction kinds:
 
 * Displace(qubit, beta): one controlled displacement D(beta * sigma_z) of the
-  bus, the unit of cost in every operation count.
+  bus, the unit of cost in every operation count; a named tuple, so it
+  equals the plain tuple (qubit, beta).
 * Local(qubit, u, label): an arbitrary 2x2 unitary on one qubit, kept as a
   read-only copy checked once, at construction.
 * Barrier(label): structural marker, carries no semantics and no cost.
@@ -14,7 +15,8 @@ tuple of (cut, Local or Barrier) with cut the number of displacements
 before it.  Builders fill the arrays directly; an instruction list is
 converted in one pass.  The constructor validates once, and a sequence
 cannot be edited after it.  `instructions` is a read-only tuple of the
-instruction objects, built when read; no library path reads it.
+instruction objects, built when read in one pass over the arrays (the
+Local and Barrier objects are the stored ones); no library path reads it.
 
 The executor folds a sequence through the hybrid-state simulator.
 effective_unitary reconstructs the compiled qubit unitary by folding all 2^n
@@ -39,6 +41,8 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +84,7 @@ class EntangledBusWarning(RuntimeWarning):
     """A local unitary was applied to a qubit currently entangled with the bus."""
 
 
-@dataclass(frozen=True, slots=True)
-class Displace:
+class Displace(NamedTuple):
     qubit: int
     beta: complex
 
@@ -164,7 +167,7 @@ class GateSequence:
         """The stream as Displace, Local and Barrier objects, built on each read."""
         out: list[Instruction] = []
         for qubits, betas, ins in _stretches(self):
-            out += map(Displace, qubits, betas)
+            out += map(tuple.__new__, repeat(Displace), zip(qubits, betas))
             if ins is not None:
                 out.append(ins)
         return tuple(out)

@@ -55,6 +55,16 @@ def test_compile_fixed_range(tmp_path):
     assert count_ops(load_sequence(out))["bus"] == 16
 
 
+def test_compile_fixed_range_without_p_is_a_usage_error(model3_file, tmp_path, capsys):
+    out = tmp_path / "seq.json"
+    code = main(["compile", "--model", model3_file, "--strategy", "fixed-range",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("qubusim compile: error:")
+    assert not out.exists()
+
+
 def test_compile_infeasible_limited_exits_2(tmp_path, capsys):
     # the first product-structure constraint appears at N=4 (two rows sharing
     # two columns); a random dense 4x4 matrix is generically infeasible
@@ -96,6 +106,18 @@ def test_verify_roundtrip_and_corruption(model3_file, tmp_path, capsys):
     corrupted.write_text(json.dumps(doc))
     assert main(["verify", "--model", model3_file, "--sequence", str(corrupted)]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["0", "-0.5", "nan", "inf"])
+def test_verify_tolerance_must_be_positive_and_finite(model3_file, tmp_path, capsys, tol):
+    out = str(tmp_path / "seq.json")
+    main(["compile", "--model", model3_file, "--strategy", "stepwise", "--out", out])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--model", model3_file, "--sequence", out, "--tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --tol" in captured.err
 
 
 @pytest.mark.parametrize("field", ["beta", "u"])
@@ -330,6 +352,17 @@ def test_count_verify_mode_exits_3_on_mismatch(tmp_path, monkeypatch, capsys):
     assert main(["count", "--verify-counts", "--out", out]) == 3
     assert "1 count mismatches" in capsys.readouterr().err
     assert "naive,3" in Path(out).read_text()
+
+
+@pytest.mark.parametrize("argv, seed", [([], 7), (["--seed", "0"], 0), (["--seed", "5"], 5)])
+def test_count_verify_mode_passes_the_seed(monkeypatch, tmp_path, argv, seed):
+    from qubusim import cli
+    from qubusim.resources import ResourceReport
+
+    seen = []
+    monkeypatch.setattr(cli, "verify_counts", lambda seed: seen.append(seed) or ResourceReport())
+    assert main(["count", "--verify-counts", "--out", str(tmp_path / "t.csv")] + argv) == 0
+    assert seen == [seed]
 
 
 def test_outputs_are_deterministic(model_file, tmp_path):

@@ -15,7 +15,6 @@ from qubusim.builders import (
     build_uzz,
     decompose_limited,
     dense_formula_count,
-    solve_carryover,
 )
 from qubusim.sequence import count_ops, effective_unitary, execute
 from qubusim.hybrid import init_state, is_bus_disentangled
@@ -122,16 +121,42 @@ def test_carryover_disconnected_components():
     assert phase_aligned_distance(u, zz_diagonal_target(v)) < 1e-10
 
 
-def test_solve_carryover_plan_shape():
+def test_carryover_chain_shape():
     v = np.ones((3, 3)) - np.eye(3)
-    plan = solve_carryover(CouplingMatrix(3, v))
-    assert [s.active for s in plan] == [0, 1, 2]
-    assert plan[0].fresh and not plan[1].fresh
-    assert plan[0].carried == 1 and plan[1].carried == 2 and plan[2].carried is None
     seq = build_uzz(CouplingMatrix(3, v), Carryover())
+    qubits = seq.qubits.tolist()
+    assert qubits == [0, 1, 2, 0, 2, 2, 1, 2]
+    # Each step's active qubit detaches last, so the visit order is the
+    # order of the qubits' last displacements.
+    last = {q: i for i, q in enumerate(qubits)}
+    assert sorted(last, key=last.get) == [0, 1, 2]
+    # attached[i]: the qubits the bus is displaced on after displacement i.
+    sums = np.cumsum(np.eye(3)[qubits] * seq.betas[:, None], axis=0)
+    attached = [set(np.flatnonzero(np.abs(row) > 1e-12).tolist()) for row in sums]
+    assert sum(not before for before in [set()] + attached[:-1]) == 1  # one fresh attach
+    assert 1 in attached[last[0]] and 2 in attached[last[1]]  # 1 and 2 are carried
+    assert not attached[-1]
     assert count_ops(seq)["bus"] == 8
     assert phase_aligned_distance(
         effective_unitary(seq, 3), zz_diagonal_target(v)) < 1e-10
+
+
+def test_carryover_rebalances_only_the_chain_that_breaks_the_bound():
+    # Two disjoint dense blocks, one chain each; only the x40 block breaks
+    # the default bound, so each chain compiles as it does on its own.
+    rng = np.random.default_rng(433)
+    v = np.zeros((7, 7))
+    v[:3, :3] = random_dense_coupling(3, rng)
+    v[3:, 3:] = 40.0 * (np.ones((4, 4)) - np.eye(4))
+    alone = []
+    for block in (slice(0, 3), slice(3, 7)):
+        w = np.zeros_like(v)
+        w[block, block] = v[block, block]
+        alone.append(build_uzz(CouplingMatrix(7, w), Carryover()))
+    assert alone[0].betas[0] == 1.0 and alone[1].betas[0] != 1.0  # chain starts
+    seq = build_uzz(CouplingMatrix(7, v), Carryover())
+    assert seq.qubits.tolist() == alone[0].qubits.tolist() + alone[1].qubits.tolist()
+    assert seq.betas.tobytes() == np.concatenate([a.betas for a in alone]).tobytes()
 
 
 def test_carryover_n2_reduces_to_cphase_count():
