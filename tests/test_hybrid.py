@@ -26,7 +26,14 @@ from qubusim.hybrid import (
     state_from_vector,
     to_debug_json,
 )
-from qubusim.sequence import Displace, GateSequence, Local, _fold_columns
+from qubusim.sequence import (
+    Displace,
+    EntangledBusWarning,
+    GateSequence,
+    Local,
+    _fold_columns,
+    execute,
+)
 
 from oracles import H2, haar_unitary_2
 
@@ -231,6 +238,20 @@ def test_extract_phase_convention():
 
 def test_is_bus_disentangled_fresh_state():
     assert is_bus_disentangled(init_state(3, "010"))
+
+
+@pytest.mark.parametrize("vec", [[math.nan, 1.0], [math.inf, 0.0], [0.0, complex(1.0, math.nan)]])
+def test_state_from_vector_rejects_non_finite_amplitudes(vec):
+    with pytest.raises(ValueError, match="non-finite"):
+        state_from_vector(np.array(vec), 1)
+
+
+def test_zero_weight_states():
+    null = HybridState(1, [BranchTerm("0", 0.5j, 0j), BranchTerm("1", -0.5j, 0j)])
+    assert is_bus_disentangled(null)
+    for s in (HybridState(1, []), null):
+        with pytest.raises(ValueError, match="zero norm"):
+            extract_qubit_vector(s)
 
 
 def test_diagonal_fast_path_matches_branch_simulation():
@@ -441,3 +462,81 @@ def test_merge_branches_is_idempotent():
     for s in inputs:
         once = merge_branches(s)
         _same_branches(merge_branches(once), once, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The branch kernels against the numpy-scalar loops they replace
+# ---------------------------------------------------------------------------
+
+def _displace_numpy(s, qubit, beta):
+    """apply_displacement with its phase taken on numpy scalars."""
+    beta = complex(beta)
+    out = []
+    for br in s.branches:
+        d = (1 if br.basis[qubit] == "0" else -1) * beta
+        phase = np.exp(1j * (d * np.conj(br.alpha)).imag)
+        out.append(BranchTerm(br.basis, br.alpha + d, br.coeff * phase))
+    return HybridState(s.num_qubits, out)
+
+
+def _local_numpy(s, qubit, u):
+    """apply_local reading the 2x2 array once per branch and new bit."""
+    u = _check_unitary(u)
+    out = []
+    for br in s.branches:
+        bit = int(br.basis[qubit])
+        for new_bit in (0, 1):
+            amp = u[new_bit, bit]
+            if abs(amp) <= COEFF_DROP_TOL:
+                continue
+            basis = br.basis[:qubit] + str(new_bit) + br.basis[qubit + 1:]
+            out.append(BranchTerm(basis, br.alpha, br.coeff * amp))
+    return merge_branches(HybridState(s.num_qubits, out), MERGE_TOL)
+
+
+def _execute_numpy(seq, s):
+    """execute on the numpy-scalar kernels."""
+    for ins in seq.instructions:
+        if isinstance(ins, Displace):
+            s = _displace_numpy(s, ins.qubit, ins.beta)
+        elif isinstance(ins, Local):
+            s = _local_numpy(s, ins.qubit, ins.u)
+    return merge_branches(s)
+
+
+def _criterion10_sequence(rng, n, n_ops):
+    """A sequence and basis string drawn as in acceptance criterion 10."""
+    basis = "".join(rng.choice(["0", "1"]) for _ in range(n))
+    ins = []
+    for _ in range(n_ops):
+        qb = int(rng.integers(n))
+        if rng.random() < 0.6:
+            ins.append(Displace(qb, rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))))
+        else:
+            ins.append(Local(qb, haar_unitary_2(rng)))
+    return GateSequence(n, ins), basis
+
+
+def test_branch_kernels_match_numpy_scalar_loops():
+    rng = np.random.default_rng(1021)
+    peak = 0
+    for trial in range(30):
+        n = 1 + trial % 3
+        seq, basis = _criterion10_sequence(rng, n, 30 if trial >= 24 else int(rng.integers(5, 31)))
+        s = init_state(n, basis)
+        for ins in seq.instructions:
+            if isinstance(ins, Displace):
+                got = apply_displacement(s, ins.qubit, ins.beta)
+                want = _displace_numpy(s, ins.qubit, ins.beta)
+            else:
+                got, want = apply_local(s, ins.qubit, ins.u), _local_numpy(s, ins.qubit, ins.u)
+            _same_branches(got, want, 1e-15)
+            s = got
+            peak = max(peak, len(s.branches))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EntangledBusWarning)
+            out = execute(seq, init_state(n, basis))
+        _same_branches(out, _execute_numpy(seq, init_state(n, basis)), 1e-15)
+        # The kernels are fast because they never meet a numpy scalar.
+        assert all(type(b.alpha) is complex and type(b.coeff) is complex for b in out.branches)
+    assert peak >= 200, peak
