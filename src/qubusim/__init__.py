@@ -108,7 +108,6 @@ from .sequence import (
     effective_unitary,
     execute,
     load_sequence,
-    product_unitary,
     save_sequence,
     sequence_from_json,
     sequence_to_json,

@@ -78,7 +78,17 @@ class CouplingMatrix:
         return cls(v.shape[0], v)
 
     def scaled(self, factor: float) -> "CouplingMatrix":
-        return CouplingMatrix(self.n, self.v * factor)
+        """factor * V.  The multiple keeps V's symmetry and zero diagonal
+        (bit for bit when V has them exactly), so only finiteness is checked
+        again: an infinite or NaN factor, or an overflow, raises ValueError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = self.v * factor
+        if not np.isfinite(v).all():
+            raise ValueError("coupling matrix entries must be finite")
+        out = object.__new__(CouplingMatrix)
+        object.__setattr__(out, "n", self.n)
+        object.__setattr__(out, "v", v)
+        return out
 
     def max_range(self) -> int:
         """Largest |m - l| with a nonzero coupling (0 for an empty matrix)."""
@@ -205,10 +215,9 @@ def trotter_error(m: BCSModel, t: float, steps: int, order: int = 2, *,
                   exact: np.ndarray | None = None) -> float:
     """Spectral-norm distance between the compiled product formula and exp(-iHt).
 
-    Each distinct factor of the step comes from the sequence builders
-    (builders.trotter_factors) and is reconstructed with effective_unitary;
-    the step's unitary is their product (sequence.product_unitary), so this
-    measures the full pipeline, not just the abstract splitting.  A caller
+    The step comes from the sequence builders (builders.build_trotter_step)
+    and its unitary from one effective_unitary fold of it, so this measures
+    the full pipeline, not just the abstract splitting.  A caller
     comparing several step counts at one t may pass exact =
     exact_evolution(m, t) to skip recomputing it.
     """
@@ -219,10 +228,10 @@ def trotter_error(m: BCSModel, t: float, steps: int, order: int = 2, *,
     dim = 2**m.n_modes
     if exact is not None and np.shape(exact) != (dim, dim):
         raise ValueError(f"exact must be a ({dim}, {dim}) matrix, got shape {np.shape(exact)}")
-    from .builders import trotter_factors
-    from .sequence import product_unitary
+    from .builders import build_trotter_step
+    from .sequence import effective_unitary
 
-    u_step = product_unitary(trotter_factors(m, t / steps, order), m.n_modes)
+    u_step = effective_unitary(build_trotter_step(m, t / steps, order), m.n_modes)
     u = np.linalg.matrix_power(u_step, steps)
     if exact is None:
         exact = exact_evolution(m, t)

@@ -660,8 +660,7 @@ def trotter_factors(model: BCSModel, tau: float, order: int = 2,
     Second order uses the symmetric splitting
     U0(tau/2) Uxx(tau/2) Uyy(tau) Uxx(tau/2) U0(tau/2), first order the plain
     product.  Each distinct (kind, time) compiles once, and a factor that
-    repeats is the same object, so a caller can fold it once (see
-    sequence.product_unitary).  Every factor returns the bus to rest.
+    repeats is the same object.  Every factor returns the bus to rest.
     With `controlled` set to an ancilla index, the single-qubit factors go
     through make_controlled_locals and the coupling factors through
     make_controlled, on a register one qubit wider.  A controlled step
@@ -707,8 +706,9 @@ def build_trotter_step(model: BCSModel, tau: float, order: int = 2,
 
     The concatenation of trotter_factors (same arguments): a repeated factor
     appears twice but is compiled once, so its instructions are shared.
-    Callers that only need the step's unitary fold each distinct factor
-    once with sequence.product_unitary instead of folding this sequence.
+    Callers that need the step's unitary fold this sequence once with
+    sequence.effective_unitary, which fuses the locals where factors meet
+    (two or three on each qubit) into one 2x2 product each.
     """
     return GateSequence._of(*_joined(trotter_factors(model, tau, order, controlled, strategy,
                                                      coupling_scale, beta_bound)),

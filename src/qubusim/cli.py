@@ -146,13 +146,15 @@ def cmd_gap(args) -> int:
     code = EXIT_OK
     if want_pea:
         res = run_pea(model, cfg)
-        try:
-            gap = estimate_gap(res)
-            lines.append(f"pea gap: {gap!r} +- {res.resolution_energy!r}")
+        if res.gap_estimate is not None:
+            lines.append(f"pea gap: {res.gap_estimate!r} +- {res.resolution_energy!r}")
             lines.append("peak phases: " + ", ".join(f"{p!r} (w={w:.4f})" for p, w in res.phases[:2]))
-        except UnresolvedPeaksError as exc:
-            lines.append(f"pea gap: unresolved peaks ({exc})")
-            code = EXIT_UNRESOLVED
+        else:
+            try:
+                estimate_gap(res)    # raises, with the reason the peaks are unresolved
+            except UnresolvedPeaksError as exc:
+                lines.append(f"pea gap: unresolved peaks ({exc})")
+                code = EXIT_UNRESOLVED
     _write("\n".join(lines) + "\n", args.out)
     return code
 

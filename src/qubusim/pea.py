@@ -29,10 +29,8 @@ from .builders import (
     build_adiabatic_init,
     build_qft,
     build_trotter_step,
-    trotter_factors,
 )
-from .sequence import (MAX_QUBITS, GateSequence, Local, count_ops, effective_unitary,
-                       product_unitary)
+from .sequence import MAX_QUBITS, GateSequence, Local, count_ops, effective_unitary
 
 __all__ = [
     "ExactSuperposition",
@@ -229,18 +227,19 @@ def _initial_system_state(model: BCSModel, cfg: PEAConfig) -> np.ndarray:
 def _controlled_step_matrix(model: BCSModel, cfg: PEAConfig, tau: float) -> np.ndarray:
     """Verified 2^N block that one controlled step applies when its ancilla is 1.
 
-    The (N + 1)-qubit step is the product of its distinct controlled
-    factors, each compiled and folded once (sequence.product_unitary).  The
-    product's block structure and the unitarity of both blocks are checked
-    at 1e-9, and failure aborts the matrix substitution.
+    The (N + 1)-qubit step is compiled whole (builders.build_trotter_step)
+    and folded once with effective_unitary.  The fold never assumes the
+    block structure: it carries the ancilla as a block only because no
+    local gate on it mixes its bit.  The step's block structure and the
+    unitarity of both blocks are checked at 1e-9, and failure aborts the
+    matrix substitution.
     cfg.exact_controlled gives exp(-iH tau / substeps).
     """
     n = model.n_modes
     if cfg.exact_controlled:
         return exact_evolution(model, tau / cfg.trotter_substeps)
-    factors = trotter_factors(model, tau / cfg.trotter_substeps, order=cfg.trotter_order,
-                              controlled=0)
-    m = product_unitary(factors, n + 1)
+    m = effective_unitary(build_trotter_step(model, tau / cfg.trotter_substeps,
+                                             order=cfg.trotter_order, controlled=0), n + 1)
     dim = 2**n
     top_right = np.max(np.abs(m[:dim, dim:]))
     bottom_left = np.max(np.abs(m[dim:, :dim]))
@@ -330,7 +329,8 @@ def run_pea(model: BCSModel, cfg: PEAConfig,
         if probs[y_reg] > 1e-15:
             distribution[format(y, f"0{k}b")] = float(probs[y_reg])
 
-    phases = [(_signed_phase(y, k), w) for y, w in _rank_outcomes(distribution)]
+    groups = _tied_outcomes(distribution)
+    phases = [(_signed_phase(y, k), w) for group in groups for y, w in group]
     result = PEAResult(
         k=k,
         tau=tau,
@@ -341,7 +341,7 @@ def run_pea(model: BCSModel, cfg: PEAConfig,
         resolution_energy=2.0 * np.pi / (2**k * tau),
     )
     try:
-        result.gap_estimate = estimate_gap(result)
+        result.gap_estimate = _peak_gap(groups, k, tau)
     except UnresolvedPeaksError:
         result.gap_estimate = None
 
@@ -368,10 +368,13 @@ def estimate_gap(res: PEAResult) -> float:
     the validated tau scaling.  The quoted uncertainty is one bin,
     2 pi / (2^k tau).
     """
-    k, tau = res.k, res.tau
-    if len(res.distribution) < 2:
+    return _peak_gap(_tied_outcomes(res.distribution), res.k, res.tau)
+
+
+def _peak_gap(groups: list[list[tuple[int, float]]], k: int, tau: float) -> float:
+    """estimate_gap on outcomes ranked by _tied_outcomes."""
+    if sum(map(len, groups)) < 2:
         raise UnresolvedPeaksError("need two distinct outcome peaks")
-    groups = _tied_outcomes(res.distribution)
     y1 = groups[0][0][0]
 
     def bin_distance(y: int) -> int:

@@ -21,18 +21,21 @@ Local and Barrier objects are the stored ones); no library path reads it.
 The executor folds a sequence through the hybrid-state simulator.
 effective_unitary reconstructs the compiled qubit unitary by folding all 2^n
 basis columns through the sequence as one array of branch amplitudes, one
-branch per basis state and column.  The local gates cut the sequence into
-displacement runs, and all runs are composed together from per-qubit
-running sums S of the betas from the start of the sequence: the bus
-amplitude of basis state b is s_b . S, and a run imprints its enclosed
-areas, cross terms with the displacement left by earlier runs included, as
-Z_q Z_p phases (Sorensen and Molmer, PRA 62, 022311 (2000)), read on each
-basis state through the sign table.  A run costs one phase per basis state
-and a local gate one 2x2 product.  A local gate on a qubit the bus is
-displaced on would mix two bus amplitudes, and then effective_unitary
-executes the columns one at a time instead.  product_unitary multiplies the
-folds of parts that each return the bus to rest, folding a repeated part
-once.
+branch per basis state and column.  The local gates on each qubit are first
+fused where they commute with what lies between them, so the two or three
+locals where Trotter factors meet cost one 2x2 product.  The fused locals
+cut the sequence into displacement runs, and all runs are composed together
+from per-qubit running sums S of the betas from the start of the sequence:
+the bus amplitude of basis state b is s_b . S, and a run imprints its
+enclosed areas, cross terms with the displacement left by earlier runs
+included, as Z_q Z_p phases (Sorensen and Molmer, PRA 62, 022311 (2000)),
+read on each basis state through the sign table.  A run costs one phase per
+basis state and a local gate one 2x2 product; a qubit that meets diagonal
+locals only never flips, and is carried as a block.  A non-diagonal local
+on a qubit the bus is displaced on would mix two bus amplitudes, and then
+effective_unitary executes the columns one at a time instead.  A whole
+Trotter step is folded in one call: a part of a sequence never has to
+return the bus to rest.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -69,7 +73,6 @@ __all__ = [
     "count_ops",
     "execute",
     "effective_unitary",
-    "product_unitary",
     "sequence_to_json",
     "sequence_from_json",
     "save_sequence",
@@ -251,12 +254,13 @@ def effective_unitary(seq: GateSequence, n: int | None = None, tol: float = 1e-9
     """Compiled qubit unitary, reconstructed from all 2^n basis inputs.
 
     Every basis column is folded through the sequence in one array pass
-    (see _fold_columns).  When a local gate meets a qubit the bus is
-    displaced on (running beta sum above MERGE_TOL / 2), the fold declines
-    and the call executes the columns one at a time through the branch
-    simulator.  That path emits EntangledBusWarning only where a local gate
-    truly mixes two supported branches with different bus amplitudes; a
-    gate that meets one supported row per pair runs there without warning.
+    (see _fold_columns).  When a non-diagonal local gate meets a qubit the
+    bus is displaced on (running beta sum above MERGE_TOL / 2), the fold
+    declines and the call executes the columns one at a time through the
+    branch simulator.  That path emits EntangledBusWarning only where a
+    local gate truly mixes two supported branches with different bus
+    amplitudes; a gate that meets one supported row per pair runs there
+    without warning.
 
     Requires the sequence to leave the bus disentangled on every basis input
     and to return it to the same amplitude for all of them, so the register
@@ -285,93 +289,132 @@ def effective_unitary(seq: GateSequence, n: int | None = None, tol: float = 1e-9
     return u
 
 
-def product_unitary(parts: list[GateSequence], n: int) -> np.ndarray:
-    """Unitary of the parts applied in order: U_last ... U_first.
-
-    Each distinct part (by identity) is folded once with effective_unitary,
-    so a part that repeats costs one 2^n x 2^n product, not a second fold.
-    This equals effective_unitary of the concatenated parts, global phase
-    included, only when every part returns the bus to rest: a bus left at
-    alpha would add the phase Im(delta conj(alpha)) to each later
-    displacement delta.  Compiled Trotter factors close every displacement
-    run, so they qualify.  The residual is not measured here: a part that
-    leaves the bus displaced, such as half of a displacement loop, leaves
-    a residual that depends on the input basis state, and effective_unitary
-    rejects it with EntangledBusError.
-    """
-    if not parts:
-        raise ValueError("need at least one part")
-    folded: dict[int, np.ndarray] = {}
-    u = None
-    for part in parts:
-        if id(part) not in folded:
-            folded[id(part)] = effective_unitary(part, n)
-        u = folded[id(part)] if u is None else folded[id(part)] @ u
-    return u
-
-
 def _fold_columns(seq: GateSequence, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Fold all basis columns at once: (C, A), or None if a local meets a displaced qubit.
+    """Fold all basis columns at once: (C, A), or None if a mixing local meets a displaced qubit.
 
     C[b, j] is the amplitude of basis b for input column j and A[b, j] the
-    bus amplitude of that branch.  While every local gate meets a qubit the
-    bus is not displaced on, the bus amplitude of row b is s_b . S in every
-    column, with S the per-qubit sum of the betas so far: one branch per
-    (b, j).  The local gates cut the sequence into displacement runs;
+    bus amplitude of that branch.  While every local gate that mixes rows
+    meets a qubit the bus is not displaced on, the bus amplitude of row b
+    is s_b . S in every column, with S the per-qubit sum of the betas so
+    far: one branch per (b, j).
+
+    One walk over the local gates fuses them (_fuse_locals): a local joins
+    the previous local on its qubit, as one 2x2 product at its own place,
+    when no displacement on that qubit lies between them, or when all of
+    the earlier part is diagonal, since a diagonal local commutes with every
+    displacement and every run phase.  A qubit that only meets diagonal
+    locals never flips, so C is block diagonal in its bit: with K the set of
+    such qubits, the fold carries 2^(n - |K|) columns per row (the input's
+    bits outside K) and expands to 2^n x 2^n once at the end.
+
+    The fused locals that mix rows cut the sequence into displacement runs;
     _compose_runs gives the pair phases Phi and the sums S after each of
     them in one pass, and through the sign table row b of a run gains the
     phase s_b^T Phi s_b, which already holds the cross terms with the
-    displacement left by earlier runs.  So a run costs one phase per basis
-    state, and a local gate one 2x2 product on the rows of its qubit.
+    displacement left by earlier runs.  So a run costs one phase per row, a
+    mixing local one 2x2 product on the rows of its qubit, and the diagonal
+    locals left over join the last run's phase.
 
-    A local gate on qubit q mixes row b with row b ^ q, whose bus amplitudes
-    differ by 2 |S_q|.  When that exceeds MERGE_TOL the two branches would
-    not merge, and the fold returns None; effective_unitary then executes
-    the columns one at a time.  The A returned is the read-only broadcast
-    of s_b . S over the columns, zero when the bus ends at rest.
+    A mixing local on qubit q mixes row b with row b ^ q, whose bus
+    amplitudes differ by 2 |S_q|.  When that exceeds MERGE_TOL at the fused
+    local's place the two branches would not merge, and the fold returns
+    None; effective_unitary then executes the columns one at a time.  The A
+    returned is the read-only broadcast of s_b . S over the columns, zero
+    when the bus ends at rest.
 
     Amplitudes at or below COEFF_DROP_TOL are zeroed once, at the end, as
     merge_branches drops them.
     """
-    gates = [(cut, ins) for cut, ins in seq.gates if type(ins) is Local]
-    # Segment s holds the displacements between local gates s - 1 and s; the
-    # non-empty segments are the runs, and starts[r] is the gate run r precedes.
-    bounds = [0, *(cut for cut, _ in gates), len(seq.qubits)]
-    sizes = [bounds[s + 1] - bounds[s] for s in range(len(gates) + 1)]
-    starts = [s for s, size in enumerate(sizes) if size]
     dim = 2**n
-    signs, pairs = _sign_tables(n)
-    if starts:
-        runs = np.repeat(np.arange(len(starts)), [sizes[s] for s in starts])
-        phi, sums = _compose_runs(n, len(starts), seq.qubits, seq.betas, runs)
-        phase = pairs @ phi.reshape(len(starts), n * n).T     # (row, run): s_b^T Phi s_b
-    bus = np.zeros(n, dtype=complex)    # S at the current gate
-    c = np.eye(dim, dtype=complex)
-    run_before = dict(zip(starts, range(len(starts))))
-    for g, (_, gate) in enumerate([*gates, (None, None)]):
-        if g in run_before:
-            c *= np.exp(1j * phase[:, run_before[g]])[:, None]
-            bus = sums[run_before[g]]
-        if gate is None:
-            break
-        if abs(bus[gate.qubit]) > MERGE_TOL / 2:
-            return None
-        # rows grouped as (higher bits, bit of the qubit, lower bits and column)
-        c = (gate.u @ c.reshape(dim >> (n - gate.qubit), 2, -1)).reshape(dim, dim)
+    signs, pairs, bits = _sign_tables(n)
+    mixing, diagonal = _fuse_locals(seq)
+    # Epoch e holds the displacements between the (e - 1)-th and the e-th
+    # distinct cut of the mixing locals; the last epoch runs to the end.
+    cuts = sorted({cut for cut, _, _ in mixing})
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, len(seq.qubits)])]
+    phi, sums = _compose_runs(n, len(sizes), seq.qubits, seq.betas,
+                              np.repeat(np.arange(len(sizes)), sizes))
+    phase = np.exp(1j * (phi.reshape(len(sizes), n * n) @ pairs.T))    # (epoch, row)
+    buses = sums.tolist()
+    block = 0    # mask of the row bits of the qubits no mixing local meets
+    for q in set(range(n)).difference(q for _, q, _ in mixing):
+        block |= 1 << (n - 1 - q)
+    rows = np.arange(dim)
+    if block:
+        # Column j of the fold is the input whose bits outside the block
+        # are those of spread[j] and whose block bits are the row's.
+        spread = np.flatnonzero((rows & block) == 0)
+        c = np.zeros((dim, len(spread)), dtype=complex)
+        c[rows, np.searchsorted(spread, rows & ~block)] = 1
+    else:
+        c = np.eye(dim, dtype=complex)
+    for e, (_, at_cut) in enumerate(groupby(mixing, key=itemgetter(0))):
+        if sizes[e]:
+            c *= phase[e][:, None]
+        for _, q, u in at_cut:
+            if abs(buses[e][q]) > MERGE_TOL / 2:
+                return None
+            # rows grouped as (higher bits, bit of the qubit, lower bits and column)
+            c = (u @ c.reshape(dim >> (n - q), 2, -1)).reshape(c.shape)
+    last = phase[-1] if sizes[-1] else None
+    if diagonal:
+        entries = np.ones((n, 2), dtype=complex)
+        for q, u in diagonal:
+            entries[q] = u[0, 0], u[1, 1]
+        factor = np.prod(entries[np.arange(n), bits], axis=1)
+        last = factor if last is None else last * factor
+    if last is not None:
+        c *= last[:, None]
     c[np.abs(c) <= COEFF_DROP_TOL] = 0
-    return c, np.broadcast_to((signs @ bus)[:, None], (dim, dim))
+    if block:
+        full = np.zeros((dim, dim), dtype=complex)
+        full[rows[:, None], (rows & block)[:, None] | spread] = c
+        c = full
+    return c, np.broadcast_to((signs @ np.array(buses[-1]))[:, None], (dim, dim))
+
+
+def _fuse_locals(seq: GateSequence) -> tuple[list, list]:
+    """The local gates of seq fused per qubit: (mixing, diagonal).
+
+    A local joins the latest fused local on its qubit, as one 2x2 product
+    at its own place, when that one is diagonal throughout or no
+    displacement on the qubit lies between them.  mixing lists (cut, qubit,
+    u), in sequence order, for the fused locals with a non-diagonal part,
+    each applied after the first cut displacements.  diagonal lists
+    (qubit, u) for the rest, each the last on its qubit and so commuting
+    with all that follows it.
+    """
+    qubits = seq.qubits.tolist()
+    fused: list = []     # (cut, qubit, u, mixes), None once fused into a later one
+    latest: dict[int, int] = {}     # qubit -> index in fused of its latest local
+    for cut, gate in seq.gates:
+        if type(gate) is not Local:
+            continue
+        q, u = gate.qubit, gate.u
+        mixes = bool(u[0, 1] or u[1, 0])
+        i = latest.get(q)
+        if i is not None and (not fused[i][3] or q not in qubits[fused[i][0]:cut]):
+            u, mixes = u.dot(fused[i][2]), mixes or fused[i][3]
+            fused[i] = None
+        latest[q] = len(fused)
+        fused.append((cut, q, u, mixes))
+    fused = [f for f in fused if f is not None]
+    return ([(cut, q, u) for cut, q, u, mixes in fused if mixes],
+            [(q, u) for _, q, u, mixes in fused if not mixes])
 
 
 @cache
-def _sign_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """z_signs(n) and its pair products s_q s_p, shape (2^n, n * n), read-only.
+def _sign_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z_signs(n), its pair products s_q s_p, shape (2^n, n * n), and the
+    bits (0 or 1, intp) of each row, shape (2^n, n), all read-only.
 
     Built once per register size, since every fold of that size reads them.
     """
     signs = z_signs(n)
     pairs = (signs[:, :, None] * signs[:, None, :]).reshape(2**n, n * n)
-    signs.flags.writeable = pairs.flags.writeable = False
-    return signs, pairs
+    bits = (signs < 0).astype(np.intp)
+    signs.flags.writeable = pairs.flags.writeable = bits.flags.writeable = False
+    return signs, pairs, bits
 
 
 def _compose_runs(n: int, n_runs: int, q: np.ndarray, beta: np.ndarray,
@@ -392,8 +435,9 @@ def _compose_runs(n: int, n_runs: int, q: np.ndarray, beta: np.ndarray,
     steps = np.zeros((len(q) + 1, n), dtype=complex)
     steps[np.arange(1, len(q) + 1), q] = beta
     sums = np.cumsum(steps, axis=0)        # sums[i]: per-qubit sum of the first i betas
-    phi = np.zeros((n_runs * n, n))
-    np.add.at(phi, r * n + q, (beta[:, None] * sums[:-1].conj()).imag)
+    # Phi[r, q, p] sums displacement i's term for p at flat index (r n + q) n + p.
+    phi = np.bincount(((r * n + q)[:, None] * n + np.arange(n)).ravel(),
+                      (beta[:, None] * sums[:-1].conj()).imag.ravel(), n_runs * n * n)
     ends = np.searchsorted(r, np.arange(1, n_runs + 1))  # one past each run's last displacement
     return phi.reshape(n_runs, n, n), sums[ends]
 

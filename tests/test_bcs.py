@@ -216,6 +216,21 @@ def test_coupling_matrix_rejects_non_finite(bad, tmp_path):
         load_model(path)
 
 
+def test_scaled_coupling_checks_finiteness_only():
+    rng = np.random.default_rng(487)
+    base = CouplingMatrix(5, random_dense_coupling(5, rng))
+    for factor in (-0.37, 0.0, 2.5e7, -1e-300):
+        out = base.scaled(factor)
+        assert out.n == 5 and np.array_equal(out.v, base.v * factor)
+        assert out.v.tobytes() == (base.v * factor).tobytes()
+    for factor in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="^coupling matrix entries must be finite$"):
+            base.scaled(factor)
+    huge = CouplingMatrix(2, np.array([[0.0, 1e300], [1e300, 0.0]]))
+    with pytest.raises(ValueError, match="^coupling matrix entries must be finite$"):
+        huge.scaled(1e10)
+
+
 def test_spectrum_csv_format():
     from qubusim.bcs import exact_spectrum, spectrum_to_csv
 

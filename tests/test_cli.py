@@ -302,12 +302,27 @@ def test_gap_lists_tied_peaks_by_outcome_index(model_file, capsys):
         "peak phases: 1.5707963267948966 (w=0.4054), -1.5707963267948966 (w=0.4054)")
 
 
-def test_gap_degenerate_exits_4(tmp_path):
+def test_gap_degenerate_exits_4(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(
         {"N": 2, "n": 1, "eps": [1.0, 1.0], "V": [[0.0, 0.0], [0.0, 0.0]], "r": 1.0}))
     assert main(["gap", "--model", str(path), "--method", "pea", "--k", "4",
                  "--substeps", "1"]) == 4
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "pea gap: unresolved peaks (need two distinct outcome peaks)")
+
+
+def test_gap_ranks_the_outcomes_once(model_file, monkeypatch, capsys):
+    # run_pea ranks the distribution once for the phases and the gap, and
+    # the CLI prints the gap run_pea found.
+    from qubusim import pea
+
+    calls = []
+    rank = pea._tied_outcomes
+    monkeypatch.setattr(pea, "_tied_outcomes", lambda dist: calls.append(dist) or rank(dist))
+    assert main(["gap", "--model", model_file, "--k", "6"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines()[1].startswith("pea gap: 1.0")
 
 
 def test_pea_json_output(model_file, tmp_path):

@@ -375,10 +375,10 @@ def test_config_rejects_unknown_trotter_order(order):
 @pytest.mark.parametrize("block", ["top-right", "bottom-left", "identity", "unitary"])
 def test_controlled_step_block_checks(block, monkeypatch):
     # Each corruption breaks exactly one of the four block checks.
-    fold = pea.product_unitary
+    fold = pea.effective_unitary
 
-    def corrupted(parts, n):
-        m = fold(parts, n).copy()
+    def corrupted(seq, n):
+        m = fold(seq, n).copy()
         dim = m.shape[0] // 2
         if block == "top-right":
             m[0, dim] += 1e-8
@@ -394,7 +394,34 @@ def test_controlled_step_block_checks(block, monkeypatch):
     cfg = PEAConfig(k=3)
     tau = resolve_tau(model, cfg)
     pea._controlled_step_matrix(model, cfg, tau)
-    monkeypatch.setattr(pea, "product_unitary", corrupted)
+    monkeypatch.setattr(pea, "effective_unitary", corrupted)
+    with pytest.raises(RuntimeError, match="verification failed"):
+        pea._controlled_step_matrix(model, cfg, tau)
+
+
+def test_controlled_step_with_a_mixing_ancilla_local_fails_verification(monkeypatch):
+    # The fold carries the ancilla as a block only while no local gate on it
+    # mixes its bit.  A small rotation on the ancilla turns that off, and
+    # the off-diagonal blocks it creates fail the block checks.
+    from qubusim.sequence import Local, _fuse_locals
+
+    build = pea.build_trotter_step
+    theta = 1e-3
+    rx = np.array([[np.cos(theta), -1j * np.sin(theta)], [-1j * np.sin(theta), np.cos(theta)]])
+
+    def mutated(*args, **kwargs):
+        step = build(*args, **kwargs)
+        step.extend(pea.GateSequence(step.num_qubits, [Local(0, rx)]))
+        return step
+
+    model = pairing_model()
+    cfg = PEAConfig(k=3)
+    tau = resolve_tau(model, cfg)
+    step = build_trotter_step(model, tau, order=2, controlled=0)
+    assert 0 not in {q for _, q, _ in _fuse_locals(step)[0]}
+    monkeypatch.setattr(pea, "build_trotter_step", mutated)
+    step = pea.build_trotter_step(model, tau, order=2, controlled=0)
+    assert 0 in {q for _, q, _ in _fuse_locals(step)[0]}
     with pytest.raises(RuntimeError, match="verification failed"):
         pea._controlled_step_matrix(model, cfg, tau)
 

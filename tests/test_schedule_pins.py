@@ -15,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qubusim.bcs import BCSModel, CouplingMatrix
+from qubusim.bcs import BCSModel, CouplingMatrix, energy_gap, exact_spectrum, save_model
 from qubusim.builders import (
     STRATEGY_NAMES,
     InfeasibleStrategyError,
@@ -29,6 +29,7 @@ from qubusim.builders import (
     strategy_from_name,
     trotter_factors,
 )
+from qubusim.cli import main
 from qubusim.resources import verify_counts
 from qubusim.sequence import Displace
 
@@ -176,3 +177,39 @@ def test_product_form_errors_name_the_first_violated_entry():
         build_uzz(CouplingMatrix(5, v), Limited(tuple(a), tuple(b)))
     with pytest.raises(InfeasibleStrategyError, match="one entry per qubit"):
         build_uzz(CouplingMatrix(5, v), Limited(tuple(a[:4]), tuple(b)))
+
+
+def _pea_gap_models(tmp_path):
+    """One seeded pairing model per N = 3, 4, 5, drawn by the pea-gap rule.
+
+    r = 1 and n = N // 2; a draw is kept when its exact sector gap is at
+    least two resolution bins 2 pi / (2^6 tau) at the tau the CLI chooses.
+    """
+    rng = np.random.default_rng(2323)
+    for n in (3, 4, 5):
+        while True:
+            eps = rng.uniform(0.5, 2.0, n)
+            v = np.triu(rng.uniform(0.05, 0.5, (n, n)), 1)
+            model = BCSModel(n, n // 2, eps, CouplingMatrix(n, v + v.T), r=1.0)
+            emax = float(np.max(np.abs(exact_spectrum(model).eigenvalues)))
+            tau = (1.0 - 2.0**-6) * np.pi / emax
+            if energy_gap(model, n // 2) >= 2.0 * 2.0 * np.pi / (2**6 * tau):
+                break
+        path = tmp_path / f"model-{n}.json"
+        save_model(model, path)
+        yield str(path)
+
+
+# Recorded before each Trotter step was folded in one pass.
+GAP_STDOUT_PIN = "160871fcaa62b9679e3a464b91480f614b8b09cbc89211e24df82207c8a01245"
+
+
+def test_gap_stdout_is_pinned(tmp_path, capsys):
+    # Every printed digit of `qubusim gap` goes through the compiled Trotter
+    # steps and their folds, so a fold change cannot move one unnoticed.
+    out = []
+    for path in _pea_gap_models(tmp_path):
+        for k in (3, 6, 8):
+            code = main(["gap", "--model", path, "--k", str(k)])
+            out.append(f"k={k} exit={code}\n{capsys.readouterr().out}")
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == GAP_STDOUT_PIN

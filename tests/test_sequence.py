@@ -40,7 +40,7 @@ from qubusim.sequence import (
     load_sequence,
     _compose_runs,
     _fold_columns,
-    product_unitary,
+    _fuse_locals,
     save_sequence,
     sequence_from_json,
     sequence_to_json,
@@ -383,39 +383,69 @@ def test_non_finite_beta_raises_before_a_later_bad_qubit():
         seq.qubits[0] = 5
 
 
-def test_product_unitary_folds_each_distinct_part_once(monkeypatch):
+def test_each_step_unitary_is_one_fold(monkeypatch):
+    # The product-formula error and the controlled-step block each fold
+    # their whole compiled step once: the factor folds and their 2^n x 2^n
+    # products are gone.
     import qubusim.sequence as sequence
+    from qubusim import pea
+    from qubusim.bcs import trotter_error
 
-    a = build_cphase(0, 1, 0.3, 2)
-    b = GateSequence(2, [*build_cphase(1, 0, -0.7, 2).instructions,
-                         Local(1, haar_unitary_2(np.random.default_rng(431)))])
-    folded = []
-    fold = sequence.effective_unitary
-    monkeypatch.setattr(sequence, "effective_unitary",
-                        lambda seq, n: folded.append(seq) or fold(seq, n))
-    u = product_unitary([a, b, a], 2)
-    assert folded == [a, b]
-    ua, ub = fold(a, 2), fold(b, 2)
-    assert np.array_equal(u, ua @ (ub @ ua))
-    whole = GateSequence(2, a.instructions + b.instructions + a.instructions)
-    assert np.max(np.abs(u - fold(whole, 2))) <= 1e-12
-    with pytest.raises(ValueError, match="at least one part"):
-        product_unitary([], 2)
+    folds = []
+    fold = sequence._fold_columns
+    monkeypatch.setattr(sequence, "_fold_columns",
+                        lambda seq, n: folds.append(seq) or fold(seq, n))
+    model = _model(3, 433)
+    trotter_error(model, 0.6, 4, 2)
+    assert [seq.metadata["strategy"] for seq in folds] == ["trotter-2"]
+    folds.clear()
+    pea._controlled_step_matrix(model, pea.PEAConfig(k=3), 0.3)
+    assert [(seq.metadata["strategy"], seq.num_qubits) for seq in folds] == [("trotter-2", 4)]
 
 
-def test_product_unitary_refuses_a_part_that_leaves_the_bus_displaced():
-    # A ZZ loop cut in half: the whole loop folds to its phase, but each
-    # half leaves the bus displaced by an amount that depends on the input,
-    # and the product of the halves would miss the phase between them.
+@pytest.mark.parametrize("controlled", [None, 0])
+def test_a_factor_that_leaves_the_bus_displaced_fails_the_step(controlled, monkeypatch):
+    # With one fold per step there is no per-factor unitarity check; a
+    # factor that stops returning the bus to rest (its last displacement
+    # dropped) still fails the step's own residual check.
+    import qubusim.builders as builders
+    from qubusim import pea
+    from qubusim.bcs import trotter_error
+
+    factors = builders.trotter_factors
+
+    def broken(*args, **kwargs):
+        parts = factors(*args, **kwargs)
+        xx = parts[1]
+        cut = GateSequence._of(xx.num_qubits, xx.qubits[:-1], xx.betas[:-1],
+                               [(min(c, len(xx.qubits) - 1), ins) for c, ins in xx.gates])
+        return [cut if part is xx else part for part in parts]
+
+    monkeypatch.setattr(builders, "trotter_factors", broken)
+    model = _model(3, 491)
+    with warnings.catch_warnings(), pytest.raises(EntangledBusError):
+        # the local after the dropped displacement meets a displaced qubit
+        warnings.simplefilter("ignore", EntangledBusWarning)
+        if controlled is None:
+            trotter_error(model, 0.6, 2, 2)
+        else:
+            pea._controlled_step_matrix(model, pea.PEAConfig(k=3), 0.3)
+
+
+def test_halves_of_a_loop_compose_to_the_loop():
+    # A ZZ loop cut in half: each half leaves the bus displaced by an amount
+    # that depends on the input, so neither folds to a unitary alone, but
+    # the fold of the two in sequence is the loop's, bit for bit.  A fold
+    # never needs a part to return the bus to rest.
     loop = build_cphase(0, 1, 0.3)
-    disps = [i for i, ins in enumerate(loop.instructions) if isinstance(ins, Displace)]
-    cut = disps[len(disps) // 2]
-    first = GateSequence(2, loop.instructions[:cut])
-    second = GateSequence(2, loop.instructions[cut:])
-    whole = effective_unitary(GateSequence(2, first.instructions + second.instructions), 2)
-    assert np.max(np.abs(whole - effective_unitary(loop, 2))) == 0.0
-    with pytest.raises(EntangledBusError):
-        product_unitary([first, second], 2)
+    cut = len(loop.qubits) // 2
+    first = GateSequence._of(2, loop.qubits[:cut], loop.betas[:cut])
+    second = GateSequence._of(2, loop.qubits[cut:], loop.betas[cut:])
+    for half in (first, second):
+        with pytest.raises(EntangledBusError):
+            effective_unitary(half)
+    joined = GateSequence(2, first.instructions + second.instructions)
+    assert np.max(np.abs(effective_unitary(joined) - effective_unitary(loop))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +522,10 @@ def test_compose_runs_matches_row_by_row_composition(case, data):
     assert np.array_equal(c, np.diag(np.diag(c)))
 
 
-def fold_reference(seq: GateSequence):
-    """(C, A, support) from executing each basis column, or None if any column warns."""
+def fold_reference(seq: GateSequence, strict: bool = True):
+    """(C, A, support) from executing each basis column, or None if any column
+    warns and strict is set.  The branch simulator stays exact when it warns:
+    a diagonal local on a qubit the bus is displaced on splits no branch."""
     n = seq.num_qubits
     c = np.zeros((2**n, 2**n), dtype=complex)
     a = np.zeros_like(c)
@@ -502,7 +534,7 @@ def fold_reference(seq: GateSequence):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = execute(seq, init_state(n, format(j, f"0{n}b")))
-        if any(issubclass(w.category, EntangledBusWarning) for w in caught):
+        if strict and any(issubclass(w.category, EntangledBusWarning) for w in caught):
             return None
         for br in out.branches:
             b = int(br.basis, 2)
@@ -542,12 +574,14 @@ def loops_then_open_run(draw):
 
 
 def displaced_local(seq: GateSequence) -> bool:
-    """True when a local gate meets a qubit whose running beta sum exceeds MERGE_TOL / 2."""
+    """True when a non-diagonal local gate meets a qubit whose running beta
+    sum exceeds MERGE_TOL / 2: the fold's rule for declining."""
     total = [0j] * seq.num_qubits
     for ins in seq.instructions:
         if isinstance(ins, Displace):
             total[ins.qubit] += ins.beta
-        elif isinstance(ins, Local) and abs(total[ins.qubit]) > MERGE_TOL / 2:
+        elif (isinstance(ins, Local) and (ins.u[0, 1] != 0 or ins.u[1, 0] != 0)
+              and abs(total[ins.qubit]) > MERGE_TOL / 2):
             return True
     return False
 
@@ -589,3 +623,121 @@ def test_fold_thresholds_c_once_at_the_end():
     seq = GateSequence(2, undo + open_run + [Local(0, HADAMARD)])
     assert _fold_columns(seq, 2) is None
     assert fold_reference(seq) is not None
+
+
+# ---------------------------------------------------------------------------
+# Fused locals and never-flipped qubits
+# ---------------------------------------------------------------------------
+
+def _diagonal(rng) -> np.ndarray:
+    return np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, 2)))
+
+
+@st.composite
+def fusable_sequences(draw):
+    """Closed loops, barriers and local gates, then maybe an open run and more locals.
+
+    The qubits in `flat` meet diagonal locals only, so the fold carries them
+    as blocks; any other local is diagonal or Haar-random.  A loop between
+    two locals on one of its qubits forbids fusing them unless the earlier
+    one is diagonal; a barrier never does.
+    """
+    n = draw(st.integers(1, 4))
+    qubit = st.integers(0, n - 1)
+    flat = draw(st.sets(qubit, max_size=n))
+    seed = st.integers(0, 2**32 - 1)
+
+    def local(q):
+        rng = np.random.default_rng(draw(seed))
+        if q in flat or draw(st.booleans()):
+            return Local(q, _diagonal(rng))
+        return Local(q, haar_unitary_2(rng))
+
+    def loop(run):
+        return ([Displace(q, b) for q, b in run]
+                + [Displace(q, -b) for q, b in draw(st.permutations(run))])
+
+    ins = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["loop", "local", "sandwich", "barrier"]))
+        if kind == "loop":
+            ins += loop(draw(st.lists(st.tuples(qubit, _beta), min_size=1, max_size=4)))
+        elif kind == "local":
+            ins.append(local(draw(qubit)))
+        elif kind == "sandwich":
+            # two locals on q around a loop that displaces q
+            q = draw(qubit)
+            run = draw(st.lists(st.tuples(qubit, _beta), max_size=3))
+            ins += [local(q), *loop([(q, draw(_beta)), *run]), local(q)]
+        else:
+            ins.append(Barrier())
+    if draw(st.booleans()):
+        late = draw(st.lists(st.tuples(qubit, st.complex_numbers(min_magnitude=0.01,
+                                                                 max_magnitude=1.0)),
+                             min_size=1, max_size=n, unique_by=lambda t: t[0]))
+        ins += [Displace(q, b) for q, b in late]
+        ins += [local(draw(st.sampled_from([q for q, _ in late])))
+                for _ in range(draw(st.integers(1, 3)))]
+    return GateSequence(n, ins), flat
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(case=fusable_sequences())
+def test_fused_fold_matches_columns_or_declines_by_its_rule(case):
+    seq, flat = case
+    n = seq.num_qubits
+    mixing, diagonal = _fuse_locals(seq)
+    assert not flat & {q for _, q, _ in mixing}
+    assert len(mixing) + len(diagonal) <= count_ops(seq)["local"]
+    folded = _fold_columns(seq, n)
+    assert (folded is None) == displaced_local(seq)
+    if folded is not None:
+        (c, a), (c_ref, a_ref, support) = folded, fold_reference(seq, strict=False)
+        assert not np.any((c != 0) & (np.abs(c) <= COEFF_DROP_TOL))
+        assert np.max(np.abs(c - c_ref)) <= 1e-12
+        assert np.max(np.abs(np.where(support, a - a_ref, 0))) <= 1e-12
+
+
+def test_fuse_locals_joins_only_what_commutes():
+    rng = np.random.default_rng(467)
+    u, v, d = haar_unitary_2(rng), haar_unitary_2(rng), _diagonal(rng)
+    loop = [Displace(0, 0.3), Displace(1, 0.4j), Displace(0, -0.3), Displace(1, -0.4j)]
+
+    def fused(ins):
+        mixing, diagonal = _fuse_locals(GateSequence(2, ins))
+        return [(cut, q) for cut, q, _ in mixing], [q for q, _ in diagonal]
+
+    # A loop on the qubit between two locals keeps them apart; one on
+    # another qubit, or a barrier, does not.
+    assert fused([Local(0, u), *loop, Local(0, v)]) == ([(0, 0), (4, 0)], [])
+    assert fused([Local(0, u), Displace(1, 0.2), Barrier(), Local(0, v)]) == ([(1, 0)], [])
+    # A diagonal local commutes with the loop, so it joins the next local
+    # on its qubit; the diagonal part left at the end is the qubit's last.
+    assert fused([Local(0, d), *loop, Local(0, v), Local(1, d)]) == ([(4, 0)], [1])
+    assert fused([Local(0, u), *loop, Local(0, d)]) == ([(0, 0)], [0])
+    mixing, _ = _fuse_locals(GateSequence(2, [Local(0, d), *loop, Local(0, v), Local(0, u)]))
+    assert np.max(np.abs(mixing[0][2] - u @ v @ d)) <= 1e-15
+    # A mixing local on a displaced qubit declines, a diagonal one does not.
+    open_run = [Displace(0, 0.3), Displace(1, 0.4j)]
+    assert _fold_columns(GateSequence(2, [*open_run, Local(0, u)]), 2) is None
+    c, a = _fold_columns(GateSequence(2, [*open_run, Local(0, d), Local(1, d)]), 2)
+    c_ref, a_ref, support = fold_reference(GateSequence(2, [*open_run, Local(0, d), Local(1, d)]),
+                                           strict=False)
+    assert np.max(np.abs(c - c_ref)) <= 1e-12 and np.array_equal(c != 0, support)
+
+
+def test_block_qubits_expand_to_a_block_diagonal_unitary():
+    # Qubit 1 meets diagonal locals only, so the fold carries half the
+    # columns and fills the other half with zeros at the end.
+    rng = np.random.default_rng(479)
+    loop = [Displace(0, 0.3), Displace(1, 0.4j), Displace(2, -0.2),
+            Displace(2, 0.2), Displace(1, -0.4j), Displace(0, -0.3)]
+    seq = GateSequence(3, [Local(0, haar_unitary_2(rng)), Local(1, _diagonal(rng)), *loop,
+                           Local(2, haar_unitary_2(rng)), *loop, Local(1, _diagonal(rng)),
+                           Local(0, haar_unitary_2(rng))])
+    mixing, diagonal = _fuse_locals(seq)
+    assert {q for _, q, _ in mixing} == {0, 2} and [q for q, _ in diagonal] == [1]
+    u = effective_unitary(seq)
+    assert np.max(np.abs(u - columns_reference(seq))) <= 1e-12
+    bit = (np.arange(8) >> 1) & 1
+    assert not u[bit[:, None] != bit[None, :]].any()
