@@ -34,8 +34,9 @@ from functools import cache
 import numpy as np
 
 from .bcs import BCSModel, CouplingMatrix
+from .hybrid import _check_unitary
 from .resources import _FORMULAS, _formula_args
-from .sequence import Barrier, GateSequence, Local, _joined, count_ops
+from .sequence import Barrier, GateSequence, Local, _concat, count_ops
 
 __all__ = [
     "Naive",
@@ -336,40 +337,52 @@ def decompose_limited(v: CouplingMatrix) -> tuple[np.ndarray, np.ndarray]:
     the nonzero entries and verified exactly (1e-12) on every pair,
     including required zeros.  Raises NotProductFormError on the first
     violated entry.
+
+    The propagation walks the graph of the coupled pairs depth first from
+    each coupled row not yet reached, in ascending order, which it sets to
+    1.  A popped row m sets b[l] = V[m,l] / a[m] on each of its columns l
+    still unset, a popped column l sets a[m] = V[m,l] / b[l] on each of
+    its rows m still unset, in one array division, and pushes them in
+    ascending order.  The walk stops once every coupled row and column has
+    its constant.
     """
     n = v.n
-    rows = v.v.tolist()
-    a = np.zeros(n)
-    b = np.zeros(n)
-    assigned_a = [False] * n
-    assigned_b = [False] * n
-    edges: dict[int, list[int]] = {}
-    for m, l in np.argwhere(np.triu(v.v, 1)).tolist():  # row-major
-        edges.setdefault(m, []).append(l)
-        edges.setdefault(~l, []).append(m)  # ~l tags column nodes
-
-    for root in range(n - 1):
-        if root not in edges or assigned_a[root]:
-            continue
-        a[root] = 1.0
-        assigned_a[root] = True
-        frontier = [root]
-        while frontier:
-            node = frontier.pop()
-            if node >= 0:
-                for l in edges.get(node, ()):
-                    if not assigned_b[l]:
-                        b[l] = rows[node][l] / a[node]
-                        assigned_b[l] = True
-                        frontier.append(~l)
-            else:
-                col = ~node
-                for m in edges.get(node, ()):
-                    if not assigned_a[m]:
-                        a[m] = rows[m][col] / b[col]
-                        assigned_a[m] = True
-                        frontier.append(m)
-
+    rows, cols = np.nonzero(np.triu(v.v, 1))       # the coupled pairs, row-major
+    vals = v.v[rows, cols]
+    by_col = np.argsort(cols, kind="stable")
+    # Node m < n is row m and node n + l column l; node k's neighbours,
+    # ascending, are nbr[ptr[k]:ptr[k + 1]], with the couplings in val.
+    nbr = np.concatenate((n + cols, rows[by_col]))
+    val = np.concatenate((vals, vals[by_col]))
+    ptr = np.concatenate((np.searchsorted(rows, np.arange(n)),
+                          len(rows) + np.searchsorted(cols[by_col], np.arange(n + 1))))
+    coupled = np.diff(ptr) > 0
+    const = np.zeros(2 * n)
+    known = np.zeros(2 * n, dtype=bool)
+    unset = int(np.count_nonzero(coupled))
+    ptr = ptr.tolist()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for root in np.flatnonzero(coupled[:n]).tolist():
+            if not unset:
+                break
+            if known[root]:
+                continue
+            const[root], known[root] = 1.0, True
+            unset -= 1
+            frontier = [root]
+            while frontier and unset:
+                node = frontier.pop()
+                lo, hi = ptr[node], ptr[node + 1]
+                new = ~known[nbr[lo:hi]]
+                reached = nbr[lo:hi][new]
+                const[reached] = val[lo:hi][new] / const[node]
+                known[reached] = True
+                unset -= len(reached)
+                frontier += reached.tolist()
+    if not np.isfinite(const).all():
+        raise NotProductFormError("couplings are not product-structured: "
+                                  "row/column constants overflow")
+    a, b = const[:n], const[n:]
     miss = _product_miss(v, a, b)
     if miss is not None:
         m, l, want, got = miss
@@ -493,9 +506,9 @@ def conjugate_to_axis(seq: GateSequence, axis: str) -> GateSequence:
         if type(ins) is Local and (abs(ins.u[0, 1]) >= 1e-12 or abs(ins.u[1, 0]) >= 1e-12):
             raise ValueError("sequence must implement a Z-diagonal effect")
     n = seq.num_qubits
-    return GateSequence._of(n, seq.qubits, seq.betas,
-                            _to_axis(seq.gates, range(n), axis, len(seq.qubits)),
-                            dict(seq.metadata, axis=axis))
+    return GateSequence._assembled(n, seq.qubits, seq.betas,
+                                   _to_axis(seq.gates, range(n), axis, len(seq.qubits)),
+                                   dict(seq.metadata, axis=axis), seq._n_local + 2 * n)
 
 
 def _to_axis(gates, qubits, axis: str, end: int) -> list:
@@ -512,15 +525,28 @@ def _axis_local(qubit: int, axis: str, to_axis: bool) -> Local:
     return Local(qubit, w.conj().T, f"to-{axis}") if to_axis else Local(qubit, w, f"from-{axis}")
 
 
+def _rz_diagonals(eps: np.ndarray, tau: float) -> np.ndarray:
+    """diag(exp(i eps_m tau/2), exp(-i eps_m tau/2)) per m, shape (N, 2, 2),
+    from one np.exp per diagonal entry over all of eps."""
+    if not math.isfinite(0.5 * float(np.max(np.abs(eps), initial=0.0)) * abs(tau)):
+        raise ValueError("eps * tau overflows")
+    u = np.zeros((len(eps), 2, 2), dtype=complex)
+    u[:, 0, 0] = np.exp(0.5j * eps * tau)
+    u[:, 1, 1] = np.exp(-0.5j * eps * tau)
+    return u
+
+
 def build_u0(eps: np.ndarray, tau: float, num_qubits: int | None = None) -> GateSequence:
     """N local z-rotations realizing exp(i sum_m eps_m tau/2 Z_m)."""
     eps = np.asarray(eps, dtype=float)
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
+    if not np.isfinite(eps).all():
+        raise ValueError("eps must be finite")
     n = num_qubits if num_qubits is not None else len(eps)
-    ins = [
-        Local(m, np.diag([np.exp(0.5j * eps[m] * tau), np.exp(-0.5j * eps[m] * tau)]), "rz")
-        for m in range(len(eps))
-    ]
-    return GateSequence(n, ins, {"strategy": "u0"})
+    return GateSequence._of(n, [], [], [(0, Local(m, u, "rz"))
+                                        for m, u in enumerate(_rz_diagonals(eps, tau))],
+                            {"strategy": "u0"})
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +630,7 @@ def make_controlled_locals(us: list[np.ndarray], ancilla: int = 0) -> GateSequen
     fan-outs carry opposite core signs so their ancilla corrections cancel.
     When the product of determinants is not 1 a single extra ancilla phase
     is appended (8N+5 operations) to keep the controlled action exact.
+    Each input must be a 2x2 unitary (within 1e-12), else ValueError.
     """
     n_sys = len(us)
     if n_sys == 0:
@@ -612,7 +639,7 @@ def make_controlled_locals(us: list[np.ndarray], ancilla: int = 0) -> GateSequen
     if not 0 <= ancilla < n:
         raise ValueError(f"ancilla index {ancilla} infeasible for {n_sys} system qubits")
     sys_q = [q for q in range(n) if q != ancilla]
-    splits = [_su2_split(u) for u in us]
+    splits = [_su2_split(_check_unitary(u)) for u in us]
 
     q_corr = _zrot(-math.pi / 4)
     cycle = 2 * n_sys + 2
@@ -660,7 +687,10 @@ def trotter_factors(model: BCSModel, tau: float, order: int = 2,
     Second order uses the symmetric splitting
     U0(tau/2) Uxx(tau/2) Uyy(tau) Uxx(tau/2) U0(tau/2), first order the plain
     product.  Each distinct (kind, time) compiles once, and a factor that
-    repeats is the same object.  Every factor returns the bus to rest.
+    repeats is the same object.  Uncontrolled, the xx and yy factors are
+    one zz schedule in two bases, and each distinct coupling scale compiles
+    once: at r = 1 the xx and yy factors of a first-order step share theirs.
+    Every factor returns the bus to rest.
     With `controlled` set to an ancilla index, the single-qubit factors go
     through make_controlled_locals and the coupling factors through
     make_controlled, on a register one qubit wider.  A controlled step
@@ -678,19 +708,21 @@ def trotter_factors(model: BCSModel, tau: float, order: int = 2,
     if tau <= 0:
         raise ValueError("tau must be positive")
     n = model.n_modes
+    zz: dict[float, GateSequence] = {}    # the zz schedule per coupling scale
 
     def factor_seq(kind: str, t: float) -> GateSequence:
         if kind == "u0":
             if controlled is None:
                 return build_u0(model.eps, -t, n)
-            us = [np.diag([np.exp(-0.5j * e * t), np.exp(0.5j * e * t)]) for e in model.eps]
-            return make_controlled_locals(us, ancilla=controlled)
+            return make_controlled_locals(_rz_diagonals(model.eps, -t), ancilla=controlled)
         scale = -t * coupling_scale * (model.r if kind == "yy" else 1.0)
-        coupling = model.v.scaled(scale)
         axis = "x" if kind == "xx" else "y"
-        if controlled is None:
-            return conjugate_to_axis(build_uzz(coupling, strategy, beta_bound), axis)
-        return make_controlled(coupling, ancilla=controlled, axis=axis, beta_bound=beta_bound)
+        if controlled is not None:
+            return make_controlled(model.v.scaled(scale), ancilla=controlled, axis=axis,
+                                   beta_bound=beta_bound)
+        if scale not in zz:
+            zz[scale] = build_uzz(model.v.scaled(scale), strategy, beta_bound)
+        return conjugate_to_axis(zz[scale], axis)
 
     factors = _evolution_factors(model, tau, order)
     compiled = {factor: factor_seq(*factor) for factor in dict.fromkeys(factors)}
@@ -705,14 +737,15 @@ def build_trotter_step(model: BCSModel, tau: float, order: int = 2,
     """One product-formula step for exp(-iH tau), as one sequence.
 
     The concatenation of trotter_factors (same arguments): a repeated factor
-    appears twice but is compiled once, so its instructions are shared.
+    appears twice but is compiled once, so its instructions are shared, and
+    the factors, validated when built, are joined without checking again.
     Callers that need the step's unitary fold this sequence once with
     sequence.effective_unitary, which fuses the locals where factors meet
     (two or three on each qubit) into one 2x2 product each.
     """
-    return GateSequence._of(*_joined(trotter_factors(model, tau, order, controlled, strategy,
-                                                     coupling_scale, beta_bound)),
-                            {"strategy": f"trotter-{order}"})
+    return _concat(trotter_factors(model, tau, order, controlled, strategy,
+                                   coupling_scale, beta_bound),
+                   {"strategy": f"trotter-{order}"})
 
 
 def adiabatic_steps(delta: float) -> int:
@@ -745,8 +778,8 @@ def build_adiabatic_init(model: BCSModel, steps: int, tau: float,
                                 coupling_scale=ramps[ramp](j / steps), beta_bound=beta_bound)
              for j in range(1, steps + 1)]
     # Both ramps end at c = 1, so the last step is the unscaled step.
-    return GateSequence._of(*_joined(parts), {"strategy": f"adiabatic-{ramp}", "steps": steps,
-                                              "ops_per_step": count_ops(parts[-1])["total"]})
+    return _concat(parts, {"strategy": f"adiabatic-{ramp}", "steps": steps,
+                           "ops_per_step": count_ops(parts[-1])["total"]})
 
 
 # ---------------------------------------------------------------------------

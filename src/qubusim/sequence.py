@@ -14,9 +14,11 @@ read-only `qubits` and `betas`, and the other instructions as `gates`, a
 tuple of (cut, Local or Barrier) with cut the number of displacements
 before it.  Builders fill the arrays directly; an instruction list is
 converted in one pass.  The constructor validates once, and a sequence
-cannot be edited after it.  `instructions` is a read-only tuple of the
-instruction objects, built when read in one pass over the arrays (the
-Local and Barrier objects are the stored ones); no library path reads it.
+cannot be edited after it; one joined or wrapped from validated sequences
+(a Trotter step, a basis change, extend) takes their parts unchecked.
+`instructions` is a read-only tuple of the instruction objects, built when
+read in one pass over the arrays (the Local and Barrier objects are the
+stored ones); no library path reads it.
 
 The executor folds a sequence through the hybrid-state simulator.
 effective_unitary reconstructs the compiled qubit unitary by folding all 2^n
@@ -120,7 +122,8 @@ class GateSequence:
     displacements before it.  GateSequence(num_qubits, instructions,
     metadata) takes a list of Displace, Local and Barrier objects, _of the
     arrays.  Both check once that every amplitude is finite, every qubit in
-    the register and a declared metadata["bus_ops"] equal to len(qubits).
+    the register and a declared metadata["bus_ops"] equal to len(qubits);
+    _assembled, for sequences made from validated ones, checks nothing.
     """
 
     __slots__ = ("num_qubits", "qubits", "betas", "gates", "metadata", "_n_local")
@@ -143,27 +146,46 @@ class GateSequence:
         seq._set(num_qubits, qubits, betas, gates, metadata)
         return seq
 
+    @classmethod
+    def _assembled(cls, num_qubits: int, qubits: np.ndarray, betas: np.ndarray, gates,
+                   metadata: dict, n_local: int) -> "GateSequence":
+        """A sequence made from the parts of validated ones, checked no further.
+
+        qubits and betas are intp and complex arrays, every gate lies in the
+        register, n_local counts its Locals and a declared
+        metadata["bus_ops"] equals len(qubits).
+        """
+        seq = cls.__new__(cls)
+        seq._fill(num_qubits, qubits, betas, tuple(gates), metadata, n_local)
+        return seq
+
     def _set(self, n: int, qubits, betas, gates, metadata: dict | None) -> None:
-        self.num_qubits, self.gates = n, tuple(gates)
-        self.metadata = {} if metadata is None else metadata
-        self.qubits = q = np.asarray(qubits, dtype=np.intp)
-        self.betas = np.asarray(betas, dtype=complex)
-        if not np.isfinite(self.betas).all():
+        gates = tuple(gates)
+        metadata = {} if metadata is None else metadata
+        q = np.asarray(qubits, dtype=np.intp)
+        betas = np.asarray(betas, dtype=complex)
+        if not np.isfinite(betas).all():
             raise ValueError("displacement amplitude must be finite")
         if len(q) and not (0 <= np.minimum.reduce(q) and np.maximum.reduce(q) < n):
             raise ValueError(f"instruction qubit {q[(q < 0) | (q >= n)][0]} out of range")
-        self._n_local = 0
-        for _, ins in self.gates:
+        n_local = 0
+        for _, ins in gates:
             if type(ins) is Local:
-                self._n_local += 1
+                n_local += 1
                 if not 0 <= ins.qubit < n:
                     raise ValueError(f"instruction qubit {ins.qubit} out of range")
             elif type(ins) is not Barrier:
                 raise TypeError("an instruction is a Displace, a Local or a Barrier")
-        if self.metadata.get("bus_ops") not in (None, len(self.qubits)):
+        if metadata.get("bus_ops") not in (None, len(q)):
             raise ValueError("declared bus-operation count disagrees with instructions")
-        self.qubits.setflags(write=False)
-        self.betas.setflags(write=False)
+        self._fill(n, q, betas, gates, metadata, n_local)
+
+    def _fill(self, n: int, qubits: np.ndarray, betas: np.ndarray, gates: tuple,
+              metadata: dict, n_local: int) -> None:
+        self.num_qubits, self.gates, self.metadata, self._n_local = n, gates, metadata, n_local
+        self.qubits, self.betas = qubits, betas
+        qubits.setflags(write=False)
+        betas.setflags(write=False)
 
     @property
     def instructions(self) -> tuple[Instruction, ...]:
@@ -180,7 +202,7 @@ class GateSequence:
         joined = _joined([self, other])
         if self.metadata.get("bus_ops") is not None:
             self.metadata["bus_ops"] += len(other.qubits)
-        self._set(*joined, self.metadata)
+        self._fill(*joined, self.metadata, self._n_local + other._n_local)
 
 
 def _joined(parts: list[GateSequence]) -> tuple:
@@ -193,7 +215,13 @@ def _joined(parts: list[GateSequence]) -> tuple:
         gates += [(cut + c, ins) for c, ins in part.gates]
         cut += len(part.qubits)
     return (n, np.concatenate([part.qubits for part in parts]),
-            np.concatenate([part.betas for part in parts]), gates)
+            np.concatenate([part.betas for part in parts]), tuple(gates))
+
+
+def _concat(parts: list[GateSequence], metadata: dict) -> GateSequence:
+    """The parts in order as one sequence; only their register sizes are checked."""
+    return GateSequence._assembled(*_joined(parts), metadata,
+                                   sum(part._n_local for part in parts))
 
 
 def _stretches(seq: GateSequence):

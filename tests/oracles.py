@@ -103,6 +103,56 @@ def banded_coupling(n: int, p: int, rng) -> np.ndarray:
     return v
 
 
+def decompose_limited_reference(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row/column constants with v[m,l] = a[m] b[l] for m < l, by the
+    per-edge propagation the array version in builders replaced: a dict of
+    edge lists, one Python division per constant.  Raises ValueError, with
+    the builder's NotProductFormError message, on the first violated pair
+    (row-major, 1e-12 relative)."""
+    n = v.shape[0]
+    rows = v.tolist()
+    a = np.zeros(n)
+    b = np.zeros(n)
+    assigned_a = [False] * n
+    assigned_b = [False] * n
+    edges: dict[int, list[int]] = {}
+    for m, l in np.argwhere(np.triu(v, 1)).tolist():  # row-major
+        edges.setdefault(m, []).append(l)
+        edges.setdefault(~l, []).append(m)  # ~l tags column nodes
+    for root in range(n - 1):
+        if root not in edges or assigned_a[root]:
+            continue
+        a[root] = 1.0
+        assigned_a[root] = True
+        frontier = [root]
+        while frontier:
+            node = frontier.pop()
+            if node >= 0:
+                for l in edges.get(node, ()):
+                    if not assigned_b[l]:
+                        b[l] = rows[node][l] / a[node]
+                        assigned_b[l] = True
+                        frontier.append(~l)
+            else:
+                col = ~node
+                for m in edges.get(node, ()):
+                    if not assigned_a[m]:
+                        a[m] = rows[m][col] / b[col]
+                        assigned_a[m] = True
+                        frontier.append(m)
+    for m in range(n):
+        for l in range(m + 1, n):
+            want, got = v[m, l], a[m] * b[l]
+            if abs(want - got) > 1e-12 * max(1.0, abs(want)):
+                raise ValueError(f"couplings are not product-structured: V[{m},{l}]={want} "
+                                 f"but row/column constants give {got}")
+    ma, mb = np.max(np.abs(a)), np.max(np.abs(b))
+    if ma > 0 and mb > 0:
+        c = math.sqrt(mb / ma)
+        a, b = a * c, b / c
+    return a, b
+
+
 def haar_unitary_2(rng) -> np.ndarray:
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)

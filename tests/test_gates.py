@@ -1,6 +1,7 @@
 """Two-qubit primitives, axis conjugation, and the controlled constructions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,31 @@ def test_u0_diagonal_phases():
     u = effective_unitary(build_u0(eps, tau), 2)
     h = 0.5 * (eps[0] * embed(SZ, 0, 2) + eps[1] * embed(SZ, 1, 2))
     assert phase_aligned_distance(u, sla.expm(1j * tau * h)) < 1e-12
+
+
+def test_u0_locals_equal_the_per_qubit_diagonals_bitwise():
+    eps = np.random.default_rng(109).uniform(-3.0, 3.0, 7)
+    for tau in (0.1, -0.37, 2.9):
+        gates = build_u0(eps, tau).gates
+        assert [(cut, g.qubit, g.label) for cut, g in gates] == [(0, m, "rz") for m in range(7)]
+        for m, (_, g) in enumerate(gates):
+            want = np.diag([np.exp(0.5j * eps[m] * tau), np.exp(-0.5j * eps[m] * tau)])
+            assert g.u.tobytes() == want.tobytes()
+        assert len({id(g.u) for _, g in gates}) == 7   # each Local keeps its own copy
+
+
+@pytest.mark.parametrize("eps, tau, match", [
+    ([1.0, 2.0], math.inf, "tau must be finite"),
+    ([1.0, 2.0], math.nan, "tau must be finite"),
+    ([1.0, math.nan], 0.1, "eps must be finite"),
+    ([-math.inf, 2.0], 0.1, "eps must be finite"),
+    ([1.0, 4.0], 1e308, "eps \\* tau overflows"),
+])
+def test_u0_rejects_non_finite_phases(eps, tau, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            build_u0(np.array(eps), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +329,20 @@ def test_controlled_locals_z_rotations_hit_budget():
         assert count_ops(seq)["total"] == 8 * n + 4
         u = effective_unitary(seq, n + 1)
         assert np.max(np.abs(u - controlled_locals_target(us))) < 1e-9
+
+
+@pytest.mark.parametrize("u, match", [
+    (np.diag([2.0, 0.5]), "not unitary"),
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), "not unitary"),
+    (np.eye(3), "must be 2x2"),
+    (np.array([[math.nan, 0.0], [0.0, 1.0]]), "not unitary"),
+])
+def test_controlled_locals_rejects_non_unitary_inputs(u, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match) as err:
+            make_controlled_locals([np.eye(2), u], ancilla=0)
+    assert "\n" not in str(err.value)
 
 
 def test_partial_cphase_leaves_bus_entangled():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qubusim import builders
 from qubusim.bcs import BCSModel, CouplingMatrix, exact_evolution, exact_spectrum, trotter_error
 from qubusim.builders import (
     Carryover,
@@ -13,9 +14,11 @@ from qubusim.builders import (
     adiabatic_steps,
     build_adiabatic_init,
     build_trotter_step,
+    build_uzz,
+    make_controlled_locals,
     trotter_factors,
 )
-from qubusim.sequence import count_ops, effective_unitary, sequence_to_json
+from qubusim.sequence import GateSequence, _concat, _joined, count_ops, effective_unitary, sequence_to_json
 
 from oracles import banded_coupling, product_coupling, random_dense_coupling
 
@@ -108,12 +111,96 @@ def test_step_is_the_concatenation_of_its_factors():
     assert all(x is y for x, y in zip(step.instructions[:u0], step.instructions[-u0:]))
 
 
+def _counting_uzz(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build_uzz(*args, **kwargs)
+
+    monkeypatch.setattr(builders, "build_uzz", counted)
+    return calls
+
+
+@pytest.mark.parametrize("r, per_step", [(1.0, 1), (0.8, 2)])
+def test_one_zz_schedule_per_coupling_scale(monkeypatch, r, per_step):
+    model = random_model(4, np.random.default_rng(181), r=r)
+    calls = _counting_uzz(monkeypatch)
+    for strategy in (Carryover(), Stepwise()):
+        factors = trotter_factors(model, 0.3, 1, strategy=strategy)
+        assert len(calls) == per_step
+        # At r = 1 both coupling factors are the same schedule in two bases.
+        assert (factors[1].qubits is factors[2].qubits) == (per_step == 1)
+        calls.clear()
+    build_trotter_step(model, 0.3, 1)
+    assert len(calls) == per_step
+    calls.clear()
+    build_adiabatic_init(model, 5, 0.3)
+    assert len(calls) == 5 * per_step
+    calls.clear()
+    # Second order: xx at tau/2 and yy at tau never share a scale.
+    build_trotter_step(model, 0.3, 2)
+    assert len(calls) == 2
+
+
+def _gate_bytes(seq) -> list:
+    return [(cut, type(g), getattr(g, "qubit", None), g.label,
+             g.u.tobytes() if hasattr(g, "u") else None) for cut, g in seq.gates]
+
+
+def test_joined_sequences_equal_their_validated_form():
+    model = random_model(3, np.random.default_rng(191), r=0.7)
+    joined = [(build_trotter_step(model, 0.2, order, controlled),
+               trotter_factors(model, 0.2, order, controlled))
+              for order in (1, 2) for controlled in (None, 1)]
+    adiabatic = build_adiabatic_init(model, 3, 0.2)
+    joined.append((adiabatic, [build_trotter_step(model, 0.2, 1, coupling_scale=j / 3)
+                               for j in (1, 2, 3)]))
+    for seq, parts in joined:
+        want = GateSequence._of(*_joined(parts))
+        assert seq.num_qubits == want.num_qubits
+        assert seq.qubits.tobytes() == want.qubits.tobytes() and seq.qubits.dtype == np.intp
+        assert seq.betas.tobytes() == want.betas.tobytes() and seq.betas.dtype == complex
+        assert _gate_bytes(seq) == _gate_bytes(want)
+        assert count_ops(seq) == count_ops(want)
+        assert not (seq.qubits.flags.writeable or seq.betas.flags.writeable)
+
+
+def test_extend_keeps_the_counts():
+    model = random_model(3, np.random.default_rng(193))
+    seq = build_uzz(model.v, Naive())
+    ops = count_ops(seq)
+    wider = make_controlled_locals([np.eye(2)] * 3, ancilla=0)
+    step = build_trotter_step(model, 0.2, 2)
+    seq.extend(step)
+    assert seq.metadata["bus_ops"] == len(seq.qubits) == ops["bus"] + len(step.qubits)
+    assert count_ops(seq)["local"] == ops["local"] + count_ops(step)["local"]
+    assert count_ops(seq) == count_ops(GateSequence._of(*_joined([build_uzz(model.v, Naive()),
+                                                                   step])))
+    for join in (lambda: seq.extend(wider), lambda: _concat([step, wider], {})):
+        with pytest.raises(ValueError, match="register sizes differ"):
+            join()
+    assert seq.metadata["bus_ops"] == len(seq.qubits)
+
+
 def test_trotter_error_rejects_exact_of_the_wrong_shape():
     rng = np.random.default_rng(167)
     model = random_model(3, rng)
     for bad in (exact_evolution(random_model(2, rng), 0.2), np.eye(8)[0]):
         with pytest.raises(ValueError, match=r"must be a \(8, 8\) matrix"):
             trotter_error(model, 0.2, 2, exact=bad)
+
+
+def test_controlled_u0_factor_equals_the_per_qubit_diagonals_bitwise():
+    model = random_model(4, np.random.default_rng(197))
+    for tau in (0.05, 0.3, 1.7):
+        t = tau / 2
+        want = make_controlled_locals(
+            [np.diag([np.exp(-0.5j * e * t), np.exp(0.5j * e * t)]) for e in model.eps], ancilla=2)
+        got = trotter_factors(model, tau, 2, controlled=2)[0]
+        assert got.qubits.tobytes() == want.qubits.tobytes()
+        assert got.betas.tobytes() == want.betas.tobytes()
+        assert _gate_bytes(got) == _gate_bytes(want)
 
 
 def test_uncontrolled_step_counts_match_init_formulas():

@@ -21,6 +21,7 @@ from qubusim.hybrid import init_state, is_bus_disentangled
 
 from oracles import (
     banded_coupling,
+    decompose_limited_reference,
     phase_aligned_distance,
     product_coupling,
     random_dense_coupling,
@@ -189,6 +190,63 @@ def test_decompose_limited_rejects_rank_violation():
     v[0, 3] = v[3, 0] = v[0, 3] * 1.5  # break one ratio
     with pytest.raises(NotProductFormError):
         decompose_limited(CouplingMatrix(4, v))
+
+
+def _limited_patterns(n: int, rng):
+    """Symmetric couplings around the product form V[m,l] = a[m] b[l]: dense,
+    sparse, with isolated qubits, with zero upper rows, in disconnected
+    components, with one entry off the product, and random sparse ones."""
+    a = rng.uniform(0.3, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    b = rng.uniform(0.3, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    dense = np.outer(a, b)
+    iso = np.ones(n, dtype=bool)
+    iso[rng.choice(n, size=max(1, n // 4), replace=False)] = False
+    zero_rows = np.ones((n, 1))
+    zero_rows[rng.choice(n, size=max(1, n // 3), replace=False)] = 0.0
+    label = rng.integers(0, 3, n)
+    off = dense.copy()
+    m, l = sorted(rng.choice(n, 2, replace=False))
+    off[m, l] *= 1.0 + rng.uniform(0.01, 0.5)
+    uppers = [
+        dense,
+        np.where(rng.uniform(size=(n, n)) < 0.6, dense, 0.0),
+        dense * np.outer(iso, iso),
+        dense * zero_rows,
+        np.where(label[:, None] == label[None, :], dense, 0.0),
+        off,
+        np.where(rng.uniform(size=(n, n)) < 0.15, rng.uniform(-1.0, 1.0, (n, n)), 0.0),
+        product_coupling(n, decay=rng.uniform(0.1, 2.0)),
+    ]
+    for upper in uppers:
+        upper = np.triu(upper, 1)
+        yield upper + upper.T
+
+
+def test_decompose_limited_matches_the_per_edge_reference_bitwise():
+    rng = np.random.default_rng(2424)
+    outcomes = {"ok": 0, "error": 0}
+    for n in range(2, 61):
+        for v in _limited_patterns(n, rng):
+            try:
+                want = decompose_limited_reference(v)
+            except ValueError as err:
+                with pytest.raises(NotProductFormError) as got:
+                    decompose_limited(CouplingMatrix(n, v))
+                assert str(got.value) == str(err)
+                outcomes["error"] += 1
+                continue
+            a, b = decompose_limited(CouplingMatrix(n, v))
+            assert a.tobytes() == want[0].tobytes() and b.tobytes() == want[1].tobytes()
+            outcomes["ok"] += 1
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_decompose_limited_rejects_constants_that_overflow():
+    # b[2] = V[0,2] = 1e-200, so a[1] = V[1,2] / b[2] = 1e400 is not finite.
+    v = np.zeros((3, 3))
+    v[0, 1], v[0, 2], v[1, 2] = 1.0, 1e-200, 1e200
+    with pytest.raises(NotProductFormError, match="overflow"):
+        decompose_limited(CouplingMatrix(3, v + v.T))
 
 
 def test_limited_semantics_and_supplied_constants():
