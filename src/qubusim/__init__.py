@@ -28,6 +28,7 @@ from .bcs import (
     load_model,
     model_from_json,
     model_to_json,
+    product_formula,
     save_model,
     sector_indices,
     spectrum_to_csv,

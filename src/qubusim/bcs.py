@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .hybrid import z_signs
+from .sequence import _sign_tables
 
 __all__ = [
     "CouplingMatrix",
@@ -37,6 +40,7 @@ __all__ = [
     "exact_spectrum",
     "energy_gap",
     "exact_evolution",
+    "product_formula",
     "trotter_error",
     "sector_indices",
     "spectrum_to_csv",
@@ -211,28 +215,118 @@ def exact_evolution(m: BCSModel, t: float) -> np.ndarray:
     return (vecs * np.exp(-1j * w * t)) @ vecs.conj().T
 
 
+def _zz_phases(v: np.ndarray) -> np.ndarray:
+    """sum_{m<l} V[m,l]/2 s_m s_l on every basis row: the diagonal of
+    sum_{m<l} V[m,l]/2 Z_m Z_l, read from the register's pair-product table
+    (both orders of a pair and the zero diagonal, so vec(V) / 4)."""
+    return _sign_tables(v.shape[0])[1] @ v.ravel() / 4.0
+
+
+@cache
+def _walsh_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(-1)^popcount(i & j), i ^ j and 1j^popcount(i) over the basis indices.
+
+    The first is 2^(n/2) H^(x)n; with f its product with a phase vector d
+    over 2^n, H^(x)n diag(d) H^(x)n has entry f[i ^ j].  The last is the
+    diagonal of S^(x)n.  Built once per register size and read-only.
+    """
+    bits = _sign_tables(n)[2]
+    walsh = 1.0 - 2.0 * ((bits @ bits.T) & 1)
+    idx = np.arange(2**n)
+    xor = idx[:, None] ^ idx
+    spin = np.array([1, 1j, -1, -1j])[bits.sum(axis=1) % 4]
+    for a in (walsh, xor, spin):
+        a.flags.writeable = False
+    return walsh, xor, spin
+
+
+def _evolution_factors(tau: float, order: int) -> list[tuple[str, float]]:
+    """Factor list (kind, time) of one product-formula step for exp(-iH tau),
+    in the order the factors apply.
+
+    Second order is the symmetric splitting
+    U0(tau/2) Uxx(tau/2) Uyy(tau) Uxx(tau/2) U0(tau/2), first order the
+    plain product U0(tau) Uxx(tau) Uyy(tau).  builders.trotter_factors
+    compiles this list and product_formula evaluates it, so the two share
+    one splitting and its argument checks.
+    """
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if order == 1:
+        return [("u0", tau), ("xx", tau), ("yy", tau)]
+    if order == 2:
+        return [("u0", tau / 2), ("xx", tau / 2), ("yy", tau),
+                ("xx", tau / 2), ("u0", tau / 2)]
+    raise ValueError("order must be 1 or 2")
+
+
+def product_formula(m: BCSModel, tau: float, order: int = 2) -> np.ndarray:
+    """Exact 2^N x 2^N unitary of one product-formula step for exp(-iH tau).
+
+    Evaluates the factor list builders.trotter_factors compiles, each factor
+    from one phase vector: U0(t) = diag(exp(-i t sum_m eps_m/2 s_m)),
+    Uxx(t) = H^(x)N diag(exp(-i t zz)) H^(x)N and
+    Uyy(t) = W^(x)N diag(exp(-i t r zz)) W^(x)N^dag with W = S H, where zz
+    is the diagonal of sum_{m<l} V_ml/2 Z_m Z_l.  Nothing is compiled or
+    folded; the compiled step (build_trotter_step folded by
+    effective_unitary) agrees with it to rounding.  Raises ValueError on
+    more than 10 modes, a tau that is not finite and positive, an order
+    other than 1 or 2, and phases that overflow.
+    """
+    n = m.n_modes
+    if n > 10:
+        raise ValueError("product formula limited to 10 qubits")
+    factors = _evolution_factors(tau, order)
+    walsh, xor, spin = _walsh_tables(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = _sign_tables(n)[0] @ m.eps / 2.0
+        zz = _zz_phases(m.v.v)
+
+        def factor(kind: str, t: float) -> np.ndarray:
+            if kind == "u0":
+                return np.exp(-1j * t * energies)
+            if kind == "xx":
+                return (walsh @ np.exp(-1j * t * zz) / 2**n)[xor]
+            f = (walsh @ np.exp(-1j * (t * m.r) * zz) / 2**n)[xor]
+            return spin[:, None] * f * spin.conj()
+
+        distinct = {key: factor(*key) for key in dict.fromkeys(factors)}
+        u = np.eye(2**n, dtype=complex)
+        for key in factors:
+            f = distinct[key]
+            u = f[:, None] * u if f.ndim == 1 else f @ u
+    if not np.isfinite(u).all():
+        raise ValueError("the product formula's phases overflow")
+    return u
+
+
 def trotter_error(m: BCSModel, t: float, steps: int, order: int = 2, *,
                   exact: np.ndarray | None = None) -> float:
-    """Spectral-norm distance between the compiled product formula and exp(-iHt).
+    """Spectral-norm distance between `steps` product-formula steps and exp(-iHt).
 
-    The step comes from the sequence builders (builders.build_trotter_step)
-    and its unitary from one effective_unitary fold of it, so this measures
-    the full pipeline, not just the abstract splitting.  A caller
-    comparing several step counts at one t may pass exact =
-    exact_evolution(m, t) to skip recomputing it.
+    The step is product_formula(m, t / steps, order), the exact unitary of
+    the factor list the builders compile, so this measures the splitting
+    error and compiles and folds nothing; run_pea checks the compiled
+    controlled step it runs against the same formula.  A caller comparing
+    several step counts at one t may pass exact = exact_evolution(m, t) to
+    skip recomputing it.  Raises ValueError on a steps that is not a
+    positive integer and on an exact of the wrong shape or not finite.
     """
     if m.n_modes > 8:
         raise ValueError("trotter_error limited to 8 qubits")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise ValueError("need at least one step")
     dim = 2**m.n_modes
-    if exact is not None and np.shape(exact) != (dim, dim):
-        raise ValueError(f"exact must be a ({dim}, {dim}) matrix, got shape {np.shape(exact)}")
-    from .builders import build_trotter_step
-    from .sequence import effective_unitary
-
-    u_step = effective_unitary(build_trotter_step(m, t / steps, order), m.n_modes)
-    u = np.linalg.matrix_power(u_step, steps)
+    if exact is not None:
+        if np.shape(exact) != (dim, dim):
+            raise ValueError(f"exact must be a ({dim}, {dim}) matrix, got shape {np.shape(exact)}")
+        if not np.isfinite(exact).all():
+            raise ValueError("exact must be finite")
+    u = np.linalg.matrix_power(product_formula(m, t / steps, order), steps)
     if exact is None:
         exact = exact_evolution(m, t)
     return float(np.linalg.norm(u - exact, 2))

@@ -33,7 +33,7 @@ from functools import cache
 
 import numpy as np
 
-from .bcs import BCSModel, CouplingMatrix
+from .bcs import BCSModel, CouplingMatrix, _evolution_factors
 from .hybrid import _check_unitary
 from .resources import _FORMULAS, _formula_args
 from .sequence import Barrier, GateSequence, Local, _concat, count_ops
@@ -667,16 +667,6 @@ def make_controlled_locals(us: list[np.ndarray], ancilla: int = 0) -> GateSequen
 # Trotter steps and quasi-adiabatic initialization
 # ---------------------------------------------------------------------------
 
-def _evolution_factors(model: BCSModel, tau: float, order: int) -> list[tuple[str, float]]:
-    """Factor list (kind, time) approximating exp(-iH tau)."""
-    if order == 1:
-        return [("u0", tau), ("xx", tau), ("yy", tau)]
-    if order == 2:
-        return [("u0", tau / 2), ("xx", tau / 2), ("yy", tau),
-                ("xx", tau / 2), ("u0", tau / 2)]
-    raise ValueError("order must be 1 or 2")
-
-
 def trotter_factors(model: BCSModel, tau: float, order: int = 2,
                     controlled: int | None = None,
                     strategy: Strategy | None = None,
@@ -684,7 +674,8 @@ def trotter_factors(model: BCSModel, tau: float, order: int = 2,
                     beta_bound: float = DEFAULT_BETA_BOUND) -> list[GateSequence]:
     """Compiled factors of one product-formula step, in the order they apply.
 
-    Second order uses the symmetric splitting
+    The splitting is bcs._evolution_factors, which bcs.product_formula
+    evaluates exactly; second order is the symmetric
     U0(tau/2) Uxx(tau/2) Uyy(tau) Uxx(tau/2) U0(tau/2), first order the plain
     product.  Each distinct (kind, time) compiles once, and a factor that
     repeats is the same object.  Uncontrolled, the xx and yy factors are
@@ -703,10 +694,6 @@ def trotter_factors(model: BCSModel, tau: float, order: int = 2,
         raise ValueError("a controlled step compiles through make_controlled; "
                          "strategy applies to uncontrolled steps only")
     strategy = Carryover() if strategy is None else strategy
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     n = model.n_modes
     zz: dict[float, GateSequence] = {}    # the zz schedule per coupling scale
 
@@ -724,7 +711,7 @@ def trotter_factors(model: BCSModel, tau: float, order: int = 2,
             zz[scale] = build_uzz(model.v.scaled(scale), strategy, beta_bound)
         return conjugate_to_axis(zz[scale], axis)
 
-    factors = _evolution_factors(model, tau, order)
+    factors = _evolution_factors(tau, order)
     compiled = {factor: factor_seq(*factor) for factor in dict.fromkeys(factors)}
     return [compiled[factor] for factor in factors]
 

@@ -16,9 +16,9 @@ from functools import cache
 
 import numpy as np
 
-from .bcs import load_model, spectrum_to_csv
+from .bcs import _zz_phases, load_model, spectrum_to_csv
 from .builders import STRATEGY_NAMES, InfeasibleStrategyError, build_uzz, strategy_from_name
-from .hybrid import EntangledBusError, z_signs
+from .hybrid import EntangledBusError
 from .pea import (PEAConfig, UnresolvedPeaksError, estimate_gap, gap_spectrum, resolve_tau,
                   result_to_json, run_pea, substeps_for_target)
 from .resources import ResourceReport, ReportRow, crossover_n, max_n_for_budget, verify_counts
@@ -54,17 +54,6 @@ def _positive(kind, below: float = math.inf):
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid int value" message reads it
     return parse
-
-
-def _diagonal_target(v: np.ndarray) -> np.ndarray:
-    """exp(i sum_{m<l} V[m,l]/2 Z_m Z_l), the target of a compiled coupling."""
-    n = v.shape[0]
-    s = z_signs(n)
-    phases = np.zeros(2**n)
-    for m in range(n):
-        for l in range(m + 1, n):
-            phases = phases + v[m, l] / 2.0 * s[:, m] * s[:, l]
-    return np.diag(np.exp(1j * phases))
 
 
 def cmd_compile(args) -> int:
@@ -103,7 +92,8 @@ def cmd_verify(args) -> int:
     if seq.num_qubits > MAX_QUBITS:
         return _usage_error("verify", f"sequence acts on {seq.num_qubits} qubits, "
                                       f"beyond the simulator's {MAX_QUBITS}")
-    target = _diagonal_target(model.v.v)
+    # exp(i sum_{m<l} V[m,l]/2 Z_m Z_l), the target of a compiled coupling
+    target = np.diag(np.exp(1j * _zz_phases(model.v.v)))
     try:
         u = effective_unitary(seq, seq.num_qubits)
     except EntangledBusError as exc:

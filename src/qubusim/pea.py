@@ -22,7 +22,8 @@ from functools import cache
 
 import numpy as np
 
-from .bcs import BCSModel, SpectrumResult, exact_evolution, exact_spectrum, trotter_error
+from .bcs import (BCSModel, SpectrumResult, exact_evolution, exact_spectrum, product_formula,
+                  trotter_error)
 from .builders import (
     HADAMARD,
     QftMode,
@@ -231,22 +232,25 @@ def _controlled_step_matrix(model: BCSModel, cfg: PEAConfig, tau: float) -> np.n
     and folded once with effective_unitary.  The fold never assumes the
     block structure: it carries the ancilla as a block only because no
     local gate on it mixes its bit.  The step's block structure and the
-    unitarity of both blocks are checked at 1e-9, and failure aborts the
-    matrix substitution.
+    unitarity of both blocks are checked at 1e-9, and the block must equal
+    the exact product formula (bcs.product_formula) at tau / substeps to
+    1e-12 per entry; failure aborts the matrix substitution.
     cfg.exact_controlled gives exp(-iH tau / substeps).
     """
     n = model.n_modes
+    step_tau = tau / cfg.trotter_substeps
     if cfg.exact_controlled:
-        return exact_evolution(model, tau / cfg.trotter_substeps)
-    m = effective_unitary(build_trotter_step(model, tau / cfg.trotter_substeps,
-                                             order=cfg.trotter_order, controlled=0), n + 1)
+        return exact_evolution(model, step_tau)
+    m = effective_unitary(build_trotter_step(model, step_tau, order=cfg.trotter_order,
+                                             controlled=0), n + 1)
     dim = 2**n
     top_right = np.max(np.abs(m[:dim, dim:]))
     bottom_left = np.max(np.abs(m[dim:, :dim]))
     ident_dev = np.max(np.abs(m[:dim, :dim] - np.eye(dim)))
     sub = m[dim:, dim:]
     unit_dev = np.max(np.abs(sub.conj().T @ sub - np.eye(dim)))
-    if max(top_right, bottom_left, ident_dev, unit_dev) > 1e-9:
+    formula_dev = np.max(np.abs(sub - product_formula(model, step_tau, cfg.trotter_order)))
+    if max(top_right, bottom_left, ident_dev, unit_dev) > 1e-9 or formula_dev > 1e-12:
         raise RuntimeError("controlled-step verification failed; substitution aborted")
     return sub
 
@@ -394,7 +398,11 @@ def substeps_for_target(model: BCSModel, tau: float, k: int, order: int = 2,
     """Power-of-two substep count keeping the product-formula error below
     fraction * (energy resolution) over the full controlled evolution.
 
-    The count s is searched on the ladder 1, 2, 4, ..., up to max_substeps.
+    The error of each probed count is bcs.trotter_error, the splitting
+    error of the exact product formula, so the search compiles and folds
+    nothing; run_pea then checks the compiled controlled step against that
+    formula.  The count s is searched on the ladder 1, 2, 4, ..., up to
+    max_substeps.
     The result passes (its error is below the target), and either it is 1
     or s / 2 fails, so it is the smallest passing count whenever the error
     does not grow along the ladder.  After a failure with error e the search

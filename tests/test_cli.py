@@ -233,6 +233,26 @@ def test_gap_auto_substeps_beyond_trotter_error_exits_2(tmp_path, capsys):
     assert not spectrum.exists()
 
 
+def test_gap_compiles_one_trotter_step(model3_file, monkeypatch, capsys):
+    # The substep search evaluates the product formula exactly; the one
+    # step compiled is the controlled step run_pea folds.
+    import qubusim.builders as builders
+    from qubusim import pea
+
+    calls = []
+    build = builders.build_trotter_step
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("controlled"))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(builders, "build_trotter_step", counted)
+    monkeypatch.setattr(pea, "build_trotter_step", counted)
+    assert main(["gap", "--model", model3_file, "--k", "4"]) == 0
+    assert "pea gap:" in capsys.readouterr().out
+    assert calls == [0]
+
+
 def test_gap_auto_substeps_exhausted_exits_2(tmp_path, capsys):
     # At k = 10 no first-order count up to 256 substeps meets the target.
     path = tmp_path / "model3.json"

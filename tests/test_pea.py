@@ -25,6 +25,8 @@ from qubusim.pea import (
 from qubusim.hybrid import qubit_amplitudes, state_from_vector
 from qubusim.sequence import effective_unitary, execute
 
+from oracles import compiled_trotter_error
+
 
 def pairing_model(v=0.5, eps=1.0):
     vm = np.zeros((2, 2))
@@ -399,6 +401,26 @@ def test_controlled_step_block_checks(block, monkeypatch):
         pea._controlled_step_matrix(model, cfg, tau)
 
 
+def test_controlled_step_from_a_coupling_off_by_a_thousandth_fails_verification(monkeypatch):
+    # The block and unitarity checks pass a controlled step compiled from
+    # the wrong coupling; the comparison with the product formula does not.
+    import qubusim.builders as builders
+
+    make_controlled = builders.make_controlled
+
+    def off(v, *args, **kwargs):
+        return make_controlled(v.scaled(1.001), *args, **kwargs)
+
+    model = BCSModel(3, 1, np.array([1.0, 1.5, 2.0]),
+                     CouplingMatrix(3, np.full((3, 3), 0.5) - 0.5 * np.eye(3)))
+    cfg = PEAConfig(k=3)
+    tau = resolve_tau(model, cfg)
+    pea._controlled_step_matrix(model, cfg, tau)
+    monkeypatch.setattr(builders, "make_controlled", off)
+    with pytest.raises(RuntimeError, match="verification failed"):
+        pea._controlled_step_matrix(model, cfg, tau)
+
+
 def test_controlled_step_with_a_mixing_ancilla_local_fails_verification(monkeypatch):
     # The fold carries the ancilla as a block only while no local gate on it
     # mixes its bit.  A small rotation on the ancilla turns that off, and
@@ -483,6 +505,22 @@ def test_substeps_for_target_matches_doubling_search(n, k, order, r, seed):
     assert s == ref
     assert err(s) < target
     assert s == 1 or err(s // 2) >= target
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("order", [1, 2])
+def test_substeps_for_target_matches_the_search_on_the_compiled_error(monkeypatch, n, order):
+    # The search on the exact formula's error returns what the same search
+    # returns on the error of the compiled and folded step.
+    rng = np.random.default_rng(400 + 10 * n + order)
+    for r, k in ((1.0, 3), (0.6, 5), (1.0, 5)):
+        v = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+        model = BCSModel(n, n // 2, rng.uniform(0.5, 2.0, n), CouplingMatrix(n, v + v.T), r=r)
+        tau = resolve_tau(model, PEAConfig(k=k))
+        want = substeps_for_target(model, tau, k, order)
+        with monkeypatch.context() as patch:
+            patch.setattr(pea, "trotter_error", compiled_trotter_error)
+            assert substeps_for_target(model, tau, k, order) == want
 
 
 def test_substeps_for_target_jumps_by_the_order_and_confirms(monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qubusim import builders
-from qubusim.bcs import BCSModel, CouplingMatrix, exact_evolution, exact_spectrum, trotter_error
+from qubusim.bcs import (BCSModel, CouplingMatrix, exact_evolution, exact_spectrum, product_formula,
+                         trotter_error)
 from qubusim.builders import (
     Carryover,
     FixedRange,
@@ -20,7 +21,8 @@ from qubusim.builders import (
 )
 from qubusim.sequence import GateSequence, _concat, _joined, count_ops, effective_unitary, sequence_to_json
 
-from oracles import banded_coupling, product_coupling, random_dense_coupling
+from oracles import (banded_coupling, compiled_trotter_error, product_coupling,
+                     random_dense_coupling)
 
 
 def random_model(n, rng, r=1.0):
@@ -189,6 +191,56 @@ def test_trotter_error_rejects_exact_of_the_wrong_shape():
     for bad in (exact_evolution(random_model(2, rng), 0.2), np.eye(8)[0]):
         with pytest.raises(ValueError, match=r"must be a \(8, 8\) matrix"):
             trotter_error(model, 0.2, 2, exact=bad)
+
+
+@pytest.mark.parametrize("t, steps, order, exact, message", [
+    (0.2, 2.5, 2, None, "^steps must be an integer, got 2.5$"),
+    (0.2, 2.0, 2, None, "^steps must be an integer, got 2.0$"),
+    (0.2, True, 2, None, "^steps must be an integer, got True$"),
+    (0.2, 0, 2, None, "^need at least one step$"),
+    (0.2, 2, 2, np.full((8, 8), np.nan), "^exact must be finite$"),
+    (0.2, 2, 2, np.full((8, 8), np.inf), "^exact must be finite$"),
+    (np.inf, 2, 2, None, "^tau must be finite$"),
+    (np.nan, 2, 2, None, "^tau must be finite$"),
+    (0.0, 2, 2, None, "^tau must be positive$"),
+    (-0.2, 2, 2, None, "^tau must be positive$"),
+    (0.2, 2, 3, None, "^order must be 1 or 2$"),
+])
+def test_trotter_error_rejects_bad_arguments_with_one_line(t, steps, order, exact, message):
+    model = random_model(3, np.random.default_rng(173))
+    with pytest.raises(ValueError, match=message):
+        trotter_error(model, t, steps, order, exact=exact)
+
+
+def test_product_formula_rejects_overflowing_phases_and_large_registers():
+    model = BCSModel(2, 1, np.array([1e308, 1e308]), CouplingMatrix(2, np.zeros((2, 2))))
+    with pytest.raises(ValueError, match="^the product formula's phases overflow$"):
+        trotter_error(model, 10.0, 1)
+    model = BCSModel(11, 1, np.ones(11), CouplingMatrix(11, np.zeros((11, 11))))
+    with pytest.raises(ValueError, match="^product formula limited to 10 qubits$"):
+        product_formula(model, 0.1)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_product_formula_is_the_compiled_step(n):
+    # The exact formula equals the folded compiled step and the block the
+    # controlled step applies with its ancilla at 1, and trotter_error reads
+    # the same error as the compiled pipeline did.
+    rng = np.random.default_rng(300 + n)
+    dim = 2**n
+    for order in (1, 2):
+        for r in (1.0, 0.6, 0.0):
+            model = random_model(n, rng, r=r)
+            for tau in (0.05, 0.4, 1.3):
+                u = product_formula(model, tau, order)
+                plain = effective_unitary(build_trotter_step(model, tau, order), n)
+                assert np.max(np.abs(u - plain)) < 1e-12
+                block = effective_unitary(
+                    build_trotter_step(model, tau, order, controlled=0), n + 1)[dim:, dim:]
+                assert np.max(np.abs(u - block)) < 1e-12
+            exact = exact_evolution(model, 0.8)
+            assert trotter_error(model, 0.8, 4, order, exact=exact) == pytest.approx(
+                compiled_trotter_error(model, 0.8, 4, order, exact=exact), abs=1e-12)
 
 
 def test_controlled_u0_factor_equals_the_per_qubit_diagonals_bitwise():
