@@ -137,6 +137,12 @@ class SpectrumResult:
     basis_indices: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
 
+def _check_integer(name: str, value) -> None:
+    """One-line ValueError for a count that is not an integer (or is a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -316,8 +322,7 @@ def trotter_error(m: BCSModel, t: float, steps: int, order: int = 2, *,
     """
     if m.n_modes > 8:
         raise ValueError("trotter_error limited to 8 qubits")
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise ValueError(f"steps must be an integer, got {steps!r}")
+    _check_integer("steps", steps)
     if steps < 1:
         raise ValueError("need at least one step")
     dim = 2**m.n_modes

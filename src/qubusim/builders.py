@@ -35,7 +35,7 @@ import numpy as np
 
 from .bcs import BCSModel, CouplingMatrix, _evolution_factors
 from .hybrid import _check_unitary
-from .resources import _FORMULAS, _formula_args
+from .resources import formula_value
 from .sequence import Barrier, GateSequence, Local, _concat, count_ops
 
 __all__ = [
@@ -468,8 +468,7 @@ def dense_formula_count(s: Strategy, n: int) -> int:
     """Closed-form bus-operation count for fully dense couplings: the
     resources formula of the schedule, evaluated without its domain check
     so that any register size (N = 1 included) has a value."""
-    kind = _schedule(s)[1]
-    return _FORMULAS[kind](*_formula_args(kind, {"N": n, "p": getattr(s, "p", None)}))
+    return formula_value(_schedule(s)[1], {"N": n, "p": getattr(s, "p", None)}, check=False)
 
 
 def build_uzz(v: CouplingMatrix, strategy: Strategy,

@@ -22,8 +22,8 @@ from functools import cache
 
 import numpy as np
 
-from .bcs import (BCSModel, SpectrumResult, exact_evolution, exact_spectrum, product_formula,
-                  trotter_error)
+from .bcs import (BCSModel, SpectrumResult, _check_integer, exact_evolution, exact_spectrum,
+                  product_formula, trotter_error)
 from .builders import (
     HADAMARD,
     QftMode,
@@ -84,14 +84,18 @@ class PEAConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        _check_integer("k", self.k)
         if self.k < 1:
             raise ValueError("need at least one ancilla")
         if self.tau is not None:
             _check_tau(self.tau)
         if self.trotter_order not in (1, 2):
             raise ValueError("order must be 1 or 2")
+        _check_integer("trotter_substeps", self.trotter_substeps)
         if self.trotter_substeps < 1:
             raise ValueError("need at least one substep")
+        if self.shots is not None:
+            _check_integer("shots", self.shots)
         if self.shots and self.seed is not None and self.seed < 0:
             raise ValueError(f"shot sampling needs a non-negative seed, got {self.seed}")
 
@@ -168,7 +172,10 @@ def _remap(seq: GateSequence, mapping: dict[int, int], num_qubits: int) -> GateS
 
 
 def build_pea(model: BCSModel, cfg: PEAConfig) -> PEACircuit:
-    """Assemble the layered circuit over the full ancilla+system register."""
+    """Assemble the layered circuit over the full ancilla+system register.
+
+    counts["total"] is the controlled evolution plus the QFT plus the k
+    ancilla Hadamards, which resources.total_ops leaves out."""
     n = model.n_modes
     k = cfg.k
     tau = resolve_tau(model, cfg)
@@ -306,8 +313,9 @@ def run_pea(model: BCSModel, cfg: PEAConfig,
     inverse QFT, up to normalization.  The inverse QFT is one product over
     the row index; an outcome's probability is its row's squared norm.
     build_pea gives the same circuit as layered bus sequences, for audits on
-    the branch simulator.  input_state, normalized here, replaces the
-    configured system preparation.  Shot sampling is seeded and optional.
+    the branch simulator.  input_state (finite and nonzero, or ValueError),
+    normalized here, replaces the configured system preparation.  Shot
+    sampling is seeded and optional.
     """
     n, k = model.n_modes, cfg.k
     tau = resolve_tau(model, cfg)
@@ -316,7 +324,10 @@ def run_pea(model: BCSModel, cfg: PEAConfig,
         else _initial_system_state(model, cfg)
     if psi_sys.shape != (2**n,):
         raise ValueError("system state has the wrong dimension")
-    psi_sys = psi_sys / np.linalg.norm(psi_sys)
+    norm = np.linalg.norm(psi_sys) if np.isfinite(psi_sys).all() else 0.0
+    if not norm > 0:
+        raise ValueError("system state must be finite and nonzero")
+    psi_sys = psi_sys / norm
 
     u = np.linalg.matrix_power(_controlled_step_matrix(model, cfg, tau), cfg.trotter_substeps)
     rows = np.empty((2**k, 2**n), dtype=complex)

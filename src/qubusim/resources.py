@@ -4,10 +4,10 @@ Every schedule the compiler emits has an exact dense-input cost formula.
 _FORMULAS is the one table of them: each kind maps to a function whose
 argument names are the parameters it needs (the builders' registry names
 the kind of each U_zz schedule and reads its count from here).  This module
-evaluates them, composes whole-run totals, locates the crossover against
-the reference nuclear-spin implementation, and checks each formula against
-the instruction count of an actually compiled sequence (integer equality,
-no tolerance).
+evaluates them, composes every whole-run total from them, locates the
+crossover against the reference nuclear-spin implementation, and checks
+each formula against the instruction count of an actually compiled
+sequence (integer equality, no tolerance).
 
 Cost model summary (bus operations + local unitaries):
 
@@ -23,6 +23,12 @@ Cost model summary (bus operations + local unitaries):
     totals              T = P + S * I + N_FT with S = 0.1 pi / delta
     reference machine   T_NMR = (6 / delta) N^4
 
+The leading-order totals set 2^k = 2 pi / delta, the k that resolves the
+precision delta, and drop the Fourier transform, of order log(1/delta):
+T = (2 pi / delta) P(N[, p], k=1) + S * I(N[, p]).  Both terms scale as
+1/delta, as T_NMR does, so the crossover does not depend on delta; it reads
+the nearest-neighbour total (kind "qubus_nn"), the range-p total at p = 1.
+
 The initialization prefactor uses the level-spacing ratio d/Delta = 0.1 as
 an input constant; the plain step-count rule pi/delta is exposed separately
 by the adiabatic builder.
@@ -37,12 +43,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bcs import BCSModel, CouplingMatrix
+from .bcs import BCSModel, CouplingMatrix, _check_integer
 
 __all__ = [
     "CountFormula",
     "ResourceReport",
     "formula_count",
+    "formula_value",
     "total_ops",
     "total_ops_precision",
     "crossover_n",
@@ -55,22 +62,11 @@ __all__ = [
 LEVEL_SPACING_RATIO = 0.1  # d / Delta, adopted as an input constant
 
 
-def _formula_args(kind: str, params: dict) -> list:
-    """Values of the parameters the kind's formula takes, in its order."""
-    code = _FORMULAS[kind].__code__
-    out = []
-    for name in code.co_varnames[:code.co_argcount]:
-        if params.get(name) is None:
-            raise ValueError(f"formula needs parameter {name!r}")
-        out.append(params[name])
-    return out
-
-
-def _check_domain(params: dict) -> None:
-    n = params.get("N")
-    p = params.get("p")
-    k = params.get("k")
-    delta = params.get("delta")
+def _check_domain(args: dict) -> None:
+    for name in ("N", "p", "k"):
+        if name in args:
+            _check_integer(name, args[name])
+    n, p, k, delta = (args.get(name) for name in ("N", "p", "k", "delta"))
     if n is not None and n < 2:
         raise ValueError("N must be at least 2")
     if p is not None and (p < 1 or (n is not None and p > n - 1)):
@@ -99,7 +95,7 @@ _FORMULAS = {
     "pea_limited": lambda N, p, k: (2**k - 1) * (12 * N * p - 6 * p**2 - 6 * p + 70 * N - 40),
     "qft": lambda k: 6 * k - 5,
     "nmr": lambda N, delta: (6.0 / delta) * N**4,
-    "qubus_nn": lambda N, delta: (LEVEL_SPACING_RATIO * math.pi / delta) * (1649 * N - 1040),
+    "qubus_nn": lambda N, delta: total_ops_precision("nn", N, delta),
     "total_general": lambda N, k, delta: total_ops("general", N, k=k, delta=delta),
     "total_limited": lambda N, p, k, delta: total_ops("limited", N, p=p, k=k, delta=delta),
     "total_general_precision": lambda N, delta: total_ops_precision("general", N, delta=delta),
@@ -107,6 +103,24 @@ _FORMULAS = {
 }
 
 FORMULA_KINDS = tuple(_FORMULAS)
+
+
+def formula_value(kind: str, params: dict, check: bool = True):
+    """The kind's formula at the parameters it names, read from params
+    (other entries are ignored); the integer counts come back as ints.
+    check=False skips the domain check, so that any register size (N = 1
+    included) has a value."""
+    if kind not in _FORMULAS:
+        raise ValueError(f"unknown formula kind {kind!r}")
+    formula = _FORMULAS[kind]
+    args = {}
+    for name in formula.__code__.co_varnames[:formula.__code__.co_argcount]:
+        if params.get(name) is None:
+            raise ValueError(f"formula needs parameter {name!r}")
+        args[name] = params[name]
+    if check:
+        _check_domain(args)
+    return formula(**args)
 
 
 @dataclass(frozen=True)
@@ -121,13 +135,11 @@ class CountFormula:
 
 def formula_count(f: CountFormula) -> float:
     """Exact closed-form evaluation; integer-valued kinds return whole floats."""
-    args = _formula_args(f.kind, f.params)
-    _check_domain(f.params)
-    return float(_FORMULAS[f.kind](*args))
+    return float(formula_value(f.kind, f.params))
 
 
 def _count(kind: str, **params) -> float:
-    return formula_count(CountFormula(kind, params))
+    return float(formula_value(kind, params))
 
 
 def init_steps(delta: float) -> float:
@@ -135,31 +147,29 @@ def init_steps(delta: float) -> float:
     return LEVEL_SPACING_RATIO * math.pi / delta
 
 
+def _case(case: str, p: int | None) -> tuple[str, str, int | None]:
+    """The whole-run case's evolution and initialization kinds and its range
+    p; "nn", the nearest-neighbour chain, is the range-p case at p = 1."""
+    if case == "general":
+        return "pea_general", "init_general", None
+    if case in ("limited", "nn"):
+        return "pea_limited", "init_fixed_range", 1 if case == "nn" else p
+    raise ValueError("case must be 'general', 'limited' or 'nn'")
+
+
 def total_ops(case: str, n: int, k: int, delta: float, p: int | None = None) -> float:
     """Whole-run cost: controlled evolution + S initialization steps + QFT."""
-    if case == "general":
-        pea = _count("pea_general", N=n, k=k)
-        init = _count("init_general", N=n)
-    elif case == "limited":
-        if p is None:
-            raise ValueError("the limited case needs the interaction range p")
-        pea = _count("pea_limited", N=n, p=p, k=k)
-        init = _count("init_fixed_range", N=n, p=p)
-    else:
-        raise ValueError("case must be 'general' or 'limited'")
-    return pea + init_steps(delta) * init + _count("qft", k=k)
+    pea, init, p = _case(case, p)
+    return (_count(pea, N=n, p=p, k=k) + init_steps(delta) * _count(init, N=n, p=p)
+            + _count("qft", k=k))
 
 
 def total_ops_precision(case: str, n: int, delta: float, p: int | None = None) -> float:
-    """Leading-order totals after substituting 2^k = 2 pi / delta."""
-    s = init_steps(delta)
-    if case == "general":
-        return s * (122 * n**2 + 1283 * n - 796)
-    if case == "limited":
-        if p is None:
-            raise ValueError("the limited case needs the interaction range p")
-        return s * (244 * n * p - 122 * p**2 - 122 * p + 1405 * n - 796)
-    raise ValueError("case must be 'general' or 'limited'")
+    """Leading-order total (2 pi / delta) P(k=1) + S I: total_ops at
+    2^k = 2 pi / delta, without the Fourier transform."""
+    pea, init, p = _case(case, p)
+    return (2 * math.pi / delta * _count(pea, N=n, p=p, k=1)
+            + init_steps(delta) * _count(init, N=n, p=p))
 
 
 def crossover_n(delta: float = 0.01) -> int:
@@ -172,24 +182,31 @@ def crossover_n(delta: float = 0.01) -> int:
 
 
 def max_n_for_budget(case: str, budget: float, delta: float, p: int | None = None) -> int:
-    """Largest N whose whole-run total stays within the budget."""
+    """Largest N whose leading-order total stays within the budget.
+
+    The total grows strictly with N, so the search doubles N until the
+    total exceeds the budget, then bisects; it has no cap.  It starts at
+    the smallest N the case admits, p + 1 for a range p.
+    """
+    if not math.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget!r}")
     if budget <= 0:
         raise ValueError("budget must be positive")
+    p = _case(case, p)[2]
 
-    def cost(n: int) -> float:
-        if case == "nn":
-            return _count("qubus_nn", N=n, delta=delta)
-        return total_ops_precision(case, n, delta, p=p)
+    def fits(n: int) -> bool:
+        return total_ops_precision(case, n, delta, p=p) <= budget
 
-    best = None
-    for n in range(2, 100000):
-        if cost(n) <= budget:
-            best = n
-        else:
-            break
-    if best is None:
+    lo = 2 if p is None else max(2, p + 1)
+    if not fits(lo):
         raise ValueError("budget below the smallest system's cost")
-    return best
+    hi = 2 * lo
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # fits(lo) and not fits(hi)
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +307,12 @@ def verify_counts(n_range=range(2, 13), strategies=None,
 
     rng = np.random.default_rng(seed)
     report = ResourceReport()
+
+    def row(kind: str, compiled: int, n=None, p=None, k=None) -> None:
+        report.rows.append(ReportRow(
+            kind, n=n, p=p, k=k, compiled_count=compiled,
+            formula_count=_count(kind, N=n, p=p, k=k)))
+
     for n in n_range:
         for name in STRATEGY_NAMES if strategies is None else strategies:
             for p in range(1, n) if name == "fixed-range" else (None,):
@@ -300,73 +323,34 @@ def verify_counts(n_range=range(2, 13), strategies=None,
                     v = _product_coupling(n)
                 else:
                     v = _dense_coupling(n, rng)
-                kind = _SCHEDULES[type(strategy)][1]
-                report.rows.append(ReportRow(
-                    kind, n=n, p=p,
-                    formula_count=_count(kind, N=n, p=p),
-                    compiled_count=count_ops(build_uzz(v, strategy))["bus"],
-                ))
+                row(_SCHEDULES[type(strategy)][1], count_ops(build_uzz(v, strategy))["bus"],
+                    n=n, p=p)
         for kind, axis in (("ctrl_uzz", "z"), ("ctrl_uzz_axis", "x")):
             seq = make_controlled(_dense_coupling(n, rng), ancilla=0, axis=axis)
-            report.rows.append(ReportRow(
-                kind, n=n,
-                formula_count=_count(kind, N=n),
-                compiled_count=count_ops(seq)["total"],
-            ))
+            row(kind, count_ops(seq)["total"], n=n)
         phis = rng.uniform(0.1, 1.0, size=n)
         seq = make_controlled_locals(
             [np.diag([np.exp(1j * f), np.exp(-1j * f)]) for f in phis], ancilla=0)
-        report.rows.append(ReportRow(
-            "ctrl_locals", n=n,
-            formula_count=_count("ctrl_locals", N=n),
-            compiled_count=count_ops(seq)["total"],
-        ))
+        row("ctrl_locals", count_ops(seq)["total"], n=n)
         # Initialization: operations of one first-order product step.
         model = BCSModel(n, 1, rng.uniform(0.5, 1.5, size=n), _dense_coupling(n, rng))
-        step = build_trotter_step(model, 0.1, order=1)
-        report.rows.append(ReportRow(
-            "init_general", n=n,
-            formula_count=_count("init_general", N=n),
-            compiled_count=count_ops(step)["total"],
-        ))
-        model_l = BCSModel(n, 1, rng.uniform(0.5, 1.5, size=n), _product_coupling(n))
-        step = build_trotter_step(model_l, 0.1, order=1, strategy=Limited())
-        report.rows.append(ReportRow(
-            "init_limited", n=n,
-            formula_count=_count("init_limited", N=n),
-            compiled_count=count_ops(step)["total"],
-        ))
+        row("init_general", count_ops(build_trotter_step(model, 0.1, order=1))["total"], n=n)
+        model = BCSModel(n, 1, rng.uniform(0.5, 1.5, size=n), _product_coupling(n))
+        step = build_trotter_step(model, 0.1, order=1, strategy=Limited())
+        row("init_limited", count_ops(step)["total"], n=n)
         for p in range(1, n):
-            model_p = BCSModel(n, 1, rng.uniform(0.5, 1.5, size=n), _banded_coupling(n, p, rng))
-            step = build_trotter_step(model_p, 0.1, order=1, strategy=FixedRange(p))
-            report.rows.append(ReportRow(
-                "init_fixed_range", n=n, p=p,
-                formula_count=_count("init_fixed_range", N=n, p=p),
-                compiled_count=count_ops(step)["total"],
-            ))
+            model = BCSModel(n, 1, rng.uniform(0.5, 1.5, size=n), _banded_coupling(n, p, rng))
+            step = build_trotter_step(model, 0.1, order=1, strategy=FixedRange(p))
+            row("init_fixed_range", count_ops(step)["total"], n=n, p=p)
     for k in k_range:
-        seq = build_qft(k, QftMode(measurement_ready=True))
-        report.rows.append(ReportRow(
-            "qft", k=k,
-            formula_count=_count("qft", k=k),
-            compiled_count=count_ops(seq)["total"],
-        ))
+        row("qft", count_ops(build_qft(k, QftMode(measurement_ready=True)))["total"], k=k)
     # Controlled evolution totals for a small instance, per ancilla count.
+    n = 3
     for k in (1, 2, 3):
-        n = 3
         model = BCSModel(n, 1, rng.uniform(0.5, 1.5, size=n), _dense_coupling(n, rng))
         step = build_trotter_step(model, 0.05, order=2, controlled=0)
-        compiled = count_ops(step)["total"] * (2**k - 1)
-        report.rows.append(ReportRow(
-            "pea_general", n=n, k=k,
-            formula_count=_count("pea_general", N=n, k=k),
-            compiled_count=compiled,
-        ))
-        model_p = BCSModel(n, 1, rng.uniform(0.5, 1.5, size=n), _banded_coupling(n, 1, rng))
-        step = build_trotter_step(model_p, 0.05, order=2, controlled=0)
-        report.rows.append(ReportRow(
-            "pea_limited", n=n, p=1, k=k,
-            formula_count=_count("pea_limited", N=n, p=1, k=k),
-            compiled_count=count_ops(step)["total"] * (2**k - 1),
-        ))
+        row("pea_general", count_ops(step)["total"] * (2**k - 1), n=n, k=k)
+        model = BCSModel(n, 1, rng.uniform(0.5, 1.5, size=n), _banded_coupling(n, 1, rng))
+        step = build_trotter_step(model, 0.05, order=2, controlled=0)
+        row("pea_limited", count_ops(step)["total"] * (2**k - 1), n=n, p=1, k=k)
     return report

@@ -25,7 +25,9 @@ from qubusim.pea import (
 from qubusim.hybrid import qubit_amplitudes, state_from_vector
 from qubusim.sequence import effective_unitary, execute
 
-from oracles import compiled_trotter_error
+from qubusim.resources import CountFormula, formula_count
+
+from oracles import banded_coupling, compiled_trotter_error, random_dense_coupling
 
 
 def pairing_model(v=0.5, eps=1.0):
@@ -60,6 +62,53 @@ def test_build_pea_counts_match_evolution_formula():
         circ = build_pea(model3, PEAConfig(k=k, trotter_substeps=1))
         n = 3
         assert circ.counts["controlled_evolution"] == (2**k - 1) * (6 * n * n + 64 * n - 40)
+
+
+def test_build_pea_counts_match_the_count_table():
+    # Whole-run compiled counts: dense couplings hit P_G, range-p couplings
+    # P_L, and the total adds the k ancilla Hadamards to evolution and QFT.
+    def table(kind, **params):
+        return formula_count(CountFormula(kind, params))
+
+    rng = np.random.default_rng(29)
+    for n in range(2, 9):
+        eps = rng.uniform(0.5, 1.5, size=n)
+        models = [(BCSModel(n, 1, eps, CouplingMatrix(n, random_dense_coupling(n, rng))),
+                   "pea_general", {})]
+        for p in range(1, n):
+            models.append((BCSModel(n, 1, eps, CouplingMatrix(n, banded_coupling(n, p, rng))),
+                           "pea_limited", {"p": p}))
+        for model, kind, params in models:
+            for k in range(1, 5):
+                counts = build_pea(model, PEAConfig(k=k)).counts
+                assert counts["controlled_evolution"] == table(kind, N=n, k=k, **params), \
+                    (n, kind, params, k)
+                assert counts["qft"] == table("qft", k=k)
+                assert counts["total"] == counts["controlled_evolution"] + counts["qft"] + k
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"k": 2.5}, "k"),
+    ({"k": True}, "k"),
+    ({"k": 3, "trotter_substeps": 1.5}, "trotter_substeps"),
+    ({"k": 3, "shots": 2.5}, "shots"),
+])
+def test_config_rejects_non_integer_counts(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        PEAConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = PEAConfig(k=np.int64(3), trotter_substeps=np.int64(2), shots=np.int64(5), seed=1)
+    res = run_pea(pairing_model(), cfg)
+    assert sum(res.counts.values()) == 5
+
+
+@pytest.mark.parametrize("state", [np.zeros(4), np.full(4, np.nan), np.array([1, np.inf, 0, 0])],
+                         ids=["zero", "nan", "inf"])
+def test_run_pea_rejects_a_zero_or_non_finite_input_state(state):
+    with pytest.raises(ValueError, match="^system state must be finite and nonzero$"):
+        run_pea(pairing_model(), PEAConfig(k=3), input_state=state)
 
 
 def test_exactly_representable_phase_is_a_delta():

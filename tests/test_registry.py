@@ -51,6 +51,10 @@ def test_dense_formula_count_reads_the_count_table():
                 kind = _SCHEDULES[type(strategy)][1]
                 expected = formula_count(CountFormula(kind, {"N": n, "p": p}))
                 assert dense_formula_count(strategy, n) == expected, (name, n, p)
+    # A one-qubit register has a value too: the domain check is skipped.
+    assert [dense_formula_count(strategy_from_name(name), 1)
+            for name in ("naive", "stepwise", "carryover", "limited")] == [0, 0, 2, 0]
+    assert type(dense_formula_count(strategy_from_name("naive"), 5)) is int
 
 
 def test_compile_choices_are_the_registry_names():
